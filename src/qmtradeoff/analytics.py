@@ -8,7 +8,7 @@ of the left unitary factor. Conventions:
   sharpens an initially uniform Bloch-sphere prior;
 * fidelity is the posterior-averaged squared overlap between pre- and
   post-measurement states;
-* reversibility is the worst-case success probability with which the
+* reversibility is the mean success probability with which the
   pre-measurement state can be recovered exactly by a second measurement.
 
 A projective measurement (``lam = 0``) extracts the most information
@@ -51,13 +51,10 @@ _INFO_SERIES = (
 )
 
 #: Strength ratios above this use the series branch of the information gain.
-INFO_SERIES_SEAM = 1.0 - 1e-4
-
-#: Strength ratios above this use the series branch of the fidelity efficiency.
-#: The direct quotient loses its last ~6 digits already near lam ~ 0.999
-#: (the numerator's cancellation floor is divided by (1-lam)^2), so this seam
-#: sits where both branches still agree to ~3e-12.
-EFF_SERIES_SEAM = 1.0 - 1e-2
+#: The direct form cancels to O((1-lam)^2), so its relative error grows as
+#: lam approaches 1. At this seam it is still accurate to ~5e-11 relative,
+#: the worst of either branch on [0, 1], and the 7-term series to ~1e-15.
+SERIES_SEAM = 1.0 - 1e-2
 
 #: Below this the information gain is indistinguishable from its lam=0 value
 #: in double precision (the correction is O(lam^2 / ln 2) < 1e-18).
@@ -82,7 +79,7 @@ def _info_series(x: float) -> float:
 
 def _info_direct(lam: float) -> float:
     # Loses accuracy near lam = 1 (catastrophic cancellation); callers must
-    # switch to _info_series beyond INFO_SERIES_SEAM.
+    # switch to _info_series beyond SERIES_SEAM.
     lam2 = lam * lam
     lam4 = lam2 * lam2
     return (
@@ -104,14 +101,14 @@ def information_gain(lam: float) -> float:
 
         1 - 1/(2 ln 2) - lam^4/(1 - lam^4) * log2(lam^2) - log2(1 + lam^2)
 
-    cancels to O((1-lam)^2) near lam = 1, so for ``lam > INFO_SERIES_SEAM``
+    cancels to O((1-lam)^2) near lam = 1, so for ``lam > SERIES_SEAM``
     the value comes from the frozen Taylor series about 1 instead; the two
-    branches agree to ~3e-13 at the seam.
+    branches agree to ~5e-11 relative at the seam.
     """
     lam = _check_lam(lam)
     if lam < _INFO_SMALL_LAM:
         return INFO_AT_ZERO
-    if lam > INFO_SERIES_SEAM:
+    if lam > SERIES_SEAM:
         return _info_series(1.0 - lam)
     return _info_direct(lam)
 
@@ -175,18 +172,12 @@ def efficiency_fidelity(lam: float) -> float:
     Strictly increasing from 3*(1 - 1/(2 ln 2)) ~ 0.8360 at lam = 0 to the
     limit 1/ln 2 ~ 1.4427 at lam = 1: weak measurements buy information at
     the best rate per fidelity lost. The denominator is evaluated in the
-    cancellation-free form (1-lam)^2 / (3 (1+lam^2)); above
-    ``EFF_SERIES_SEAM`` the whole quotient switches to the series branch.
+    cancellation-free form (1-lam)^2 / (3 (1+lam^2)), which stays exact
+    near lam = 1 where the information-gain series takes over.
     """
     lam = _check_lam(lam)
     if lam == 1.0:
         return EFF_FIDELITY_AT_ONE
-    if lam > EFF_SERIES_SEAM:
-        x = 1.0 - lam
-        acc = 0.0
-        for c in reversed(_INFO_SERIES):
-            acc = acc * x + c
-        return 3.0 * (1.0 + lam * lam) * acc / LN2
     deficit = (1.0 - lam) ** 2 / (3.0 * (1.0 + lam * lam))
     return information_gain(lam) / deficit
 

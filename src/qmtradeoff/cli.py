@@ -27,8 +27,10 @@ Exit codes: 0 success / all checks passed; 1 verification failure;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -48,34 +50,31 @@ from .linalg import matrix_from_json, su2_params
 from .measurement import MeasurementOperator, MeasurementSet, PureState
 from .reversal import simulate_reversal
 
-#: Closed forms the verify command checks, keyed by quantity name. Looked up
-#: at call time so tests can swap an entry in as a negative control.
-CLOSED_FORMS = {
-    "information": lambda op: analytics.information_gain(op.lam),
-    "fidelity": analytics.fidelity_of_operator,
-    "reversibility": lambda op: analytics.reversibility(op.lam),
+#: For each quantity the verify command checks: its closed form and its
+#: quadrature and Monte Carlo oracles. Looked up at call time so tests can
+#: swap an entry in as a negative control.
+QUANTITIES = {
+    "information": (
+        lambda op: analytics.information_gain(op.lam),
+        oracle.quadrature_information,
+        oracle.estimate_information,
+    ),
+    "fidelity": (
+        analytics.fidelity_of_operator,
+        oracle.quadrature_fidelity,
+        oracle.estimate_fidelity,
+    ),
+    "reversibility": (
+        lambda op: analytics.reversibility(op.lam),
+        oracle.quadrature_reversibility,
+        oracle.estimate_reversibility,
+    ),
 }
 
-_MC_ESTIMATORS = {
-    "information": oracle.estimate_information,
-    "fidelity": oracle.estimate_fidelity,
-    "reversibility": oracle.estimate_reversibility,
-}
-
-_QUAD_ESTIMATORS = {
-    "information": oracle.quadrature_information,
-    "fidelity": oracle.quadrature_fidelity,
-    "reversibility": oracle.quadrature_reversibility,
-}
-
-_SWEEP_COLUMNS = (
-    "lambda",
-    "info",
-    "fidelity_opt",
-    "reversibility",
-    "eff_fidelity",
-    "eff_reversibility",
-)
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(analytics.TradeoffRecord))
+_sweep_row = operator.attrgetter(*_SWEEP_FIELDS)
+#: Header of the sweep table: the record's fields, with ``lam`` spelled out.
+_SWEEP_COLUMNS = ("lambda",) + _SWEEP_FIELDS[1:]
 
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -100,17 +99,6 @@ def _lambda_grid(args, min_points: int = 2) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _record_row(rec: analytics.TradeoffRecord) -> list:
-    return [
-        rec.lam,
-        rec.info,
-        rec.fidelity_opt,
-        rec.reversibility,
-        rec.eff_fidelity,
-        rec.eff_reversibility,
-    ]
-
-
 def cmd_sweep(args) -> int:
     grid = _lambda_grid(args)
     records = [analytics.tradeoff_record(lam) for lam in grid]
@@ -118,11 +106,11 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         lines = [",".join(_SWEEP_COLUMNS)]
         for rec in records:
-            lines.append(",".join(_fmt(x) for x in _record_row(rec)))
+            lines.append(",".join(_fmt(x) for x in _sweep_row(rec)))
         text = "\n".join(lines) + "\n"
     else:
         payload = [
-            {key: _round12(x) for key, x in zip(_SWEEP_COLUMNS, _record_row(rec))}
+            {key: _round12(x) for key, x in zip(_SWEEP_COLUMNS, _sweep_row(rec))}
             for rec in records
         ]
         text = json.dumps(payload, indent=2) + "\n"
@@ -137,9 +125,9 @@ def cmd_sweep(args) -> int:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -147,6 +135,7 @@ def cmd_analyze(args) -> int:
     op = MeasurementOperator(matrix_from_json(_load_json(args.matrix)))
     canon = op.canonical
     ang = su2_params(canon.u)
+    rec = analytics.tradeoff_record(canon.lam)
     rows = [
         ("kappa", canon.kappa),
         ("lambda", canon.lam),
@@ -154,12 +143,12 @@ def cmd_analyze(args) -> int:
         ("beta", ang.beta),
         ("gamma", ang.gamma),
         ("delta", ang.delta),
-        ("info", analytics.information_gain(canon.lam)),
+        ("info", rec.info),
         ("fidelity", analytics.fidelity_of_operator(op)),
-        ("fidelity_opt", analytics.optimal_fidelity(canon.lam)),
-        ("reversibility", analytics.reversibility(canon.lam)),
-        ("eff_fidelity", analytics.efficiency_fidelity(canon.lam)),
-        ("eff_reversibility", analytics.efficiency_reversibility(canon.lam)),
+        ("fidelity_opt", rec.fidelity_opt),
+        ("reversibility", rec.reversibility),
+        ("eff_fidelity", rec.eff_fidelity),
+        ("eff_reversibility", rec.eff_reversibility),
     ]
     for key, val in rows:
         print(f"{key:<17} = {_fmt(val)}")
@@ -176,7 +165,7 @@ def cmd_verify(args) -> int:
         per_lambda_ok = 0
         per_lambda_run = 0
         skipped_note = ""
-        for quantity in ("information", "fidelity", "reversibility"):
+        for quantity, (closed_form, quadrature, monte_carlo) in QUANTITIES.items():
             if quantity == "reversibility" and lam == 0.0:
                 # Nothing to reverse: the operator annihilates a state.
                 checks.append(
@@ -190,44 +179,31 @@ def cmd_verify(args) -> int:
                 )
                 skipped_note = "  (reversibility skipped: irreversible)"
                 continue
-            reference = CLOSED_FORMS[quantity](op)
-
-            quad = _QUAD_ESTIMATORS[quantity](op, nodes=args.nodes)
-            err = abs(quad.value - reference)
-            ok = err <= args.tolerance
-            checks.append(
-                {
-                    "lambda": _round12(lam),
-                    "quantity": quantity,
-                    "method": "quadrature",
-                    "value": quad.value,
-                    "reference": reference,
-                    "error": err,
-                    "bound": args.tolerance,
-                    "passed": ok,
-                }
-            )
-            per_lambda_ok += ok
-            per_lambda_run += 1
-
-            mc = _MC_ESTIMATORS[quantity](op, samples=args.samples, rng=rng)
-            bound = max(4.0 * mc.std_error, 1e-12)
-            err = abs(mc.value - reference)
-            ok = err <= bound
-            checks.append(
-                {
-                    "lambda": _round12(lam),
-                    "quantity": quantity,
-                    "method": "monte-carlo",
-                    "value": mc.value,
-                    "reference": reference,
-                    "error": err,
-                    "bound": bound,
-                    "passed": ok,
-                }
-            )
-            per_lambda_ok += ok
-            per_lambda_run += 1
+            reference = closed_form(op)
+            for est in (
+                quadrature(op, nodes=args.nodes),
+                monte_carlo(op, samples=args.samples, rng=rng),
+            ):
+                if est.method == "quadrature":
+                    bound = args.tolerance
+                else:
+                    bound = max(4.0 * est.std_error, 1e-12)
+                err = abs(est.value - reference)
+                ok = err <= bound
+                checks.append(
+                    {
+                        "lambda": _round12(lam),
+                        "quantity": quantity,
+                        "method": est.method,
+                        "value": est.value,
+                        "reference": reference,
+                        "error": err,
+                        "bound": bound,
+                        "passed": ok,
+                    }
+                )
+                per_lambda_ok += ok
+                per_lambda_run += 1
         print(
             f"lambda={lam:.3f}  {per_lambda_ok}/{per_lambda_run} checks passed"
             f"{skipped_note}",
@@ -373,10 +349,8 @@ def main(argv=None) -> int:
         NotUnitaryError,
         ZeroOperatorError,
         ZeroProbabilityError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

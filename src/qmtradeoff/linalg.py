@@ -53,11 +53,6 @@ class Svd2Result:
     u: np.ndarray
     v: np.ndarray
 
-    @property
-    def core(self) -> np.ndarray:
-        """The diagonal factor diag(1, lam)."""
-        return np.diag([1.0, self.lam]).astype(complex)
-
 
 @dataclass(frozen=True)
 class Su2Params:

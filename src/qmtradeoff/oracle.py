@@ -131,6 +131,31 @@ def _jackknife_se(columns: tuple, fn: Callable[..., float]) -> float:
     return math.sqrt((blocks - 1) / blocks * float(np.sum((estimates - center) ** 2)))
 
 
+def _ratio_estimate(
+    columns: tuple, fn: Callable[..., float], grad: Callable[..., tuple]
+) -> Estimate:
+    """Monte Carlo estimate ``fn(*column means)``, where the first column
+    holds q and must have a positive mean.
+
+    ``grad`` gives the gradient of ``fn`` at the means, from which the delta
+    method gives the standard error ``sqrt(g . Cov . g / n)``; the jackknife
+    standard error is reported alongside it.
+    """
+    means = [float(np.mean(col)) for col in columns]
+    if means[0] <= 0.0:
+        raise DegenerateSampleError("sample average of q is not positive")
+    n = len(columns[0])
+    g = np.array(grad(*means))
+    var = float(g @ np.atleast_2d(np.cov(np.vstack(columns))) @ g) / n
+    return Estimate(
+        value=fn(*means),
+        std_error=math.sqrt(max(var, 0.0)),
+        samples=n,
+        method="monte-carlo",
+        std_error_jackknife=_jackknife_se(columns, fn),
+    )
+
+
 def _check_samples(samples: int) -> int:
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples!r}")
@@ -150,28 +175,10 @@ def estimate_information(
     theta, phi = sample_bloch_angles(rng, samples)
     y = _q_raw(op, theta, phi)
     z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
-
-    ybar = float(np.mean(y))
-    zbar = float(np.mean(z))
-    if ybar <= 0.0:
-        raise DegenerateSampleError("sample average of q is not positive")
-
-    def functional(ym: float, zm: float) -> float:
-        return zm / ym - math.log2(ym)
-
-    value = functional(ybar, zbar)
-    cov = np.cov(np.vstack([y, z]))
-    gy = -zbar / ybar**2 - 1.0 / (ybar * math.log(2.0))
-    gz = 1.0 / ybar
-    var = (
-        gy * gy * cov[0, 0] + gz * gz * cov[1, 1] + 2.0 * gy * gz * cov[0, 1]
-    ) / samples
-    return Estimate(
-        value=value,
-        std_error=math.sqrt(max(var, 0.0)),
-        samples=samples,
-        method="monte-carlo",
-        std_error_jackknife=_jackknife_se((y, z), functional),
+    return _ratio_estimate(
+        (y, z),
+        lambda ym, zm: zm / ym - math.log2(ym),
+        lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
     )
 
 
@@ -188,25 +195,8 @@ def estimate_fidelity(
     theta, phi = sample_bloch_angles(rng, samples)
     y = _q_canonical(op.lam, theta)
     z = np.abs(_left_amplitude(op, theta, phi)) ** 2
-
-    ybar = float(np.mean(y))
-    zbar = float(np.mean(z))
-    if ybar <= 0.0:
-        raise DegenerateSampleError("sample average of q is not positive")
-
-    value = zbar / ybar
-    cov = np.cov(np.vstack([y, z]))
-    var = (
-        cov[1, 1] / ybar**2
-        + zbar**2 * cov[0, 0] / ybar**4
-        - 2.0 * zbar * cov[0, 1] / ybar**3
-    ) / samples
-    return Estimate(
-        value=value,
-        std_error=math.sqrt(max(var, 0.0)),
-        samples=samples,
-        method="monte-carlo",
-        std_error_jackknife=_jackknife_se((y, z), lambda ym, zm: zm / ym),
+    return _ratio_estimate(
+        (y, z), lambda ym, zm: zm / ym, lambda ym, zm: (-zm / ym**2, 1.0 / ym)
     )
 
 
@@ -228,26 +218,21 @@ def estimate_reversibility(
         )
     theta, phi = sample_bloch_angles(rng, samples)
     y = _q_raw(op, theta, phi)
-    ybar = float(np.mean(y))
-    if ybar <= 0.0:
-        raise DegenerateSampleError("sample average of q is not positive")
     lam2 = op.lam * op.lam
-
-    value = lam2 / ybar
-    var = lam2 * lam2 * float(np.var(y, ddof=1)) / ybar**4 / samples
-    return Estimate(
-        value=value,
-        std_error=math.sqrt(max(var, 0.0)),
-        samples=samples,
-        method="monte-carlo",
-        std_error_jackknife=_jackknife_se((y,), lambda ym: lam2 / ym),
-    )
+    return _ratio_estimate((y,), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,))
 
 
 def _check_nodes(nodes: int) -> int:
     if not isinstance(nodes, (int, np.integer)) or nodes < 8:
         raise DomainError(f"need at least 8 quadrature nodes, got {nodes!r}")
     return int(nodes)
+
+
+def _q_on_nodes(lam: float, nodes: int) -> tuple:
+    """q of the canonical operator and the weights at the Gauss-Legendre
+    nodes in u; q is linear in u, ``[(1 + lam^2) + u (1 - lam^2)] / 2``."""
+    u, w = leggauss(nodes)
+    return 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam)), w
 
 
 def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate:
@@ -265,8 +250,7 @@ def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate
         return Estimate(
             value=_INFO_LIMIT_AT_ZERO, std_error=0.0, samples=nodes, method="quadrature"
         )
-    u, w = leggauss(nodes)
-    q = 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
+    q, w = _q_on_nodes(lam, nodes)
     qbar = 0.5 * float(np.sum(w * q))
     qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
     value = qlog / qbar - math.log2(qbar)
@@ -313,8 +297,7 @@ def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estima
         raise IrreversibleError(
             "operator has a zero singular value; nothing can be reversed"
         )
-    u, w = leggauss(nodes)
-    q = 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
+    q, w = _q_on_nodes(lam, nodes)
     qbar = 0.5 * float(np.sum(w * q))
     return Estimate(
         value=lam * lam / qbar, std_error=0.0, samples=nodes, method="quadrature"

@@ -76,7 +76,7 @@ class TestInformationGain:
         assert information_gain(1.0) == 0.0
 
     def test_branches_agree_at_seam(self):
-        seam = analytics.INFO_SERIES_SEAM
+        seam = analytics.SERIES_SEAM
         for lam in (seam - 1e-9, seam, seam + 1e-9):
             direct = analytics._info_direct(lam)
             series = analytics._info_series(1.0 - lam)
@@ -199,7 +199,7 @@ class TestEfficiencies:
         )
 
     def test_fidelity_efficiency_seam(self):
-        seam = analytics.EFF_SERIES_SEAM
+        seam = analytics.SERIES_SEAM
         below = efficiency_fidelity(seam - 1e-12)
         above = efficiency_fidelity(seam + 1e-12)
         assert abs(below - above) < 1e-10

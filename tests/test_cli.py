@@ -218,9 +218,11 @@ class TestVerify:
     @pytest.mark.parametrize("quantity", ["information", "fidelity", "reversibility"])
     def test_flags_corrupted_closed_form(self, capsys, monkeypatch, quantity):
         """Negative control: nudging a closed form must trip the oracles."""
-        true_fn = cli.CLOSED_FORMS[quantity]
+        true_fn, quadrature, monte_carlo = cli.QUANTITIES[quantity]
         monkeypatch.setitem(
-            cli.CLOSED_FORMS, quantity, lambda op: true_fn(op) + 1e-3
+            cli.QUANTITIES,
+            quantity,
+            (lambda op: true_fn(op) + 1e-3, quadrature, monte_carlo),
         )
         code, out, err = run(
             capsys,
@@ -444,6 +446,16 @@ class TestAverage:
         assert float(vals["reversibility"]) == pytest.approx(
             direct.reversibility, abs=1e-11
         )
+
+
+@pytest.mark.parametrize("command", ["analyze", "average"])
+def test_binary_input_is_format_error(capsys, tmp_path, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe\x00\x81 not text")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "invalid JSON" in err
 
 
 def test_unknown_command_is_usage_error():

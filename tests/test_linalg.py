@@ -26,6 +26,11 @@ def random_matrix(rng, scale=1.0):
     return scale * (re + 1j * im)
 
 
+def recompose(r):
+    """kappa * u @ diag(1, lam) @ v of a factorization."""
+    return r.kappa * r.u @ np.diag([1.0, r.lam]) @ r.v
+
+
 class TestSvd2:
     def test_diagonal_passthrough(self):
         r = svd2(np.diag([1.0, 0.5]))
@@ -39,22 +44,18 @@ class TestSvd2:
         r = svd2(0.5 * X)
         assert r.kappa == pytest.approx(0.5, abs=1e-15)
         assert r.lam == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(r.kappa * r.u @ r.core @ r.v, 0.5 * X, atol=1e-14)
+        np.testing.assert_allclose(recompose(r), 0.5 * X, atol=1e-14)
 
     def test_rank_one(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2.0)
         r = svd2(m)
         assert r.kappa == pytest.approx(np.sqrt(2.0), rel=1e-14)
         assert r.lam == pytest.approx(0.0, abs=1e-14)
-        np.testing.assert_allclose(r.kappa * r.u @ r.core @ r.v, m, atol=1e-14)
+        np.testing.assert_allclose(recompose(r), m, atol=1e-14)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroOperatorError):
             svd2(np.zeros((2, 2)))
-
-    def test_core_shape(self):
-        r = svd2(np.diag([0.9, 0.3]))
-        np.testing.assert_allclose(r.core, np.diag([1.0, r.lam]), atol=0)
 
     def test_random_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(1234)
@@ -63,9 +64,7 @@ class TestSvd2:
             m = random_matrix(rng)
             r = svd2(m)
             scale = max(np.abs(m).max(), 1.0)
-            np.testing.assert_allclose(
-                r.kappa * r.u @ r.core @ r.v, m, atol=1e-12 * scale
-            )
+            np.testing.assert_allclose(recompose(r), m, atol=1e-12 * scale)
             np.testing.assert_allclose(dagger(r.u) @ r.u, eye, atol=1e-12)
             np.testing.assert_allclose(dagger(r.v) @ r.v, eye, atol=1e-12)
             assert 0.0 <= r.lam <= 1.0 + 1e-15
@@ -235,6 +234,6 @@ def test_svd2_invariants_property(entries):
     assert r.kappa > 0.0
     assert 0.0 <= r.lam <= 1.0 + 1e-12
     scale = max(np.abs(m).max(), 1.0)
-    np.testing.assert_allclose(r.kappa * r.u @ r.core @ r.v, m, atol=1e-11 * scale)
+    np.testing.assert_allclose(recompose(r), m, atol=1e-11 * scale)
     np.testing.assert_allclose(dagger(r.u) @ r.u, np.eye(2), atol=1e-11)
     np.testing.assert_allclose(dagger(r.v) @ r.v, np.eye(2), atol=1e-11)
