@@ -67,7 +67,6 @@ from .oracle import (
     quadrature_fidelity,
     quadrature_information,
     quadrature_reversibility,
-    sample_bloch_uniform,
 )
 from .reversal import (
     ReversalStats,
@@ -127,7 +126,6 @@ __all__ = [
     "quadrature_reversibility",
     "reversal_success_probability",
     "reversibility",
-    "sample_bloch_uniform",
     "sample_outcome",
     "simulate_reversal",
     "su2_matrix",

@@ -19,6 +19,7 @@ A projective measurement (``lam = 0``) extracts the most information
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,10 @@ _INFO_SMALL_LAM = 1e-9
 
 
 def _check_lam(lam: float) -> float:
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise DomainError(f"lam must be a finite number, got {lam!r}")
+    if isinstance(lam, np.ndarray) and lam.ndim == 0 and lam.dtype.kind in "iuf":
+        lam = lam.item()
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+        raise DomainError(f"lam must be a finite real number, got {lam!r}")
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must lie in [0, 1], got {lam}")
     return float(lam)

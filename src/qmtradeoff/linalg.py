@@ -102,6 +102,17 @@ def _perp(vec: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(vec[1]), np.conj(vec[0])])
 
 
+def _kappa(sigma1: float, e: int) -> float:
+    # Largest singular value of the matrix that svd2 scaled by 2^-e.
+    try:
+        kappa = math.ldexp(sigma1, e)
+    except OverflowError:
+        raise FormatError("largest singular value exceeds the float range") from None
+    if kappa < ZERO_OPERATOR_TOL:
+        raise ZeroOperatorError("operator is numerically zero")
+    return kappa
+
+
 def svd2(m) -> Svd2Result:
     """Factor a 2x2 complex matrix as ``kappa * u @ diag(1, lam) @ v``.
 
@@ -126,12 +137,18 @@ def svd2(m) -> Svd2Result:
     ------
     ZeroOperatorError
         If the largest singular value falls below ``ZERO_OPERATOR_TOL``.
+    FormatError
+        If the largest singular value exceeds the float range.
 
     Notes
     -----
     Numerical guards, stress-tested over rank-1, near-degenerate and
     nearly-zero inputs:
 
+    * the factorization is scale-equivariant, so it runs on ``m`` divided
+      by the power of two that brings its largest entry into [0.5, 1);
+      only ``kappa`` is scaled back, and entries near the float range no
+      longer overflow ``m† m`` into NaN;
     * the eigenvector of ``m† m`` is taken from whichever closed-form
       candidate has the larger norm, which is always well conditioned away
       from exact degeneracy;
@@ -146,6 +163,8 @@ def svd2(m) -> Svd2Result:
       unchanged when ``m`` is multiplied by a unitary on the right.
     """
     m = as_matrix2(m)
+    e = math.frexp(max(map(abs, m.flat)))[1]
+    m = np.ldexp(m.view(float), -e).view(complex)
     h = dagger(m) @ m
     a = h[0, 0].real
     c = h[1, 1].real
@@ -162,11 +181,10 @@ def svd2(m) -> Svd2Result:
     if max(n1, n2) <= DEGENERACY_TOL * (a + c):
         # sigma1 == sigma2 (h proportional to I): any right basis works.
         sigma1 = float(np.linalg.norm(m[:, 0]))
-        if sigma1 < ZERO_OPERATOR_TOL:
-            raise ZeroOperatorError("operator is numerically zero")
+        kappa = _kappa(sigma1, e)
         sigma2 = float(np.linalg.norm(m[:, 1]))
         return Svd2Result(
-            kappa=sigma1,
+            kappa=kappa,
             lam=min(sigma2 / sigma1, 1.0),
             u=m / sigma1,
             v=np.eye(2, dtype=complex),
@@ -177,8 +195,7 @@ def svd2(m) -> Svd2Result:
 
     mv1 = m @ v1
     sigma1 = float(np.linalg.norm(mv1))
-    if sigma1 < ZERO_OPERATOR_TOL:
-        raise ZeroOperatorError("operator is numerically zero")
+    kappa = _kappa(sigma1, e)
     u1 = mv1 / sigma1
 
     mv2 = m @ v2
@@ -200,7 +217,7 @@ def svd2(m) -> Svd2Result:
         u[:, i] *= np.conj(phase)
         v[i, :] *= phase
 
-    return Svd2Result(kappa=sigma1, lam=lam, u=u, v=v)
+    return Svd2Result(kappa=kappa, lam=lam, u=u, v=v)
 
 
 def su2_params(u, tol: float = UNITARITY_TOL) -> Su2Params:

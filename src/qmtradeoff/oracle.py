@@ -8,8 +8,10 @@ routes can cross-check each other.
 
 Conventions shared by both routes:
 
-* a uniform state is drawn as u = cos(theta) uniform on [-1, 1] and phi
-  uniform on [0, 2 pi);
+* both integrate in u = cos θ and phi: Monte Carlo draws u uniform on
+  [-1, 1] and phi uniform on [0, 2 pi), quadrature places its nodes in u.
+  A state enters only through cos²(θ/2) = (1 + u)/2, sin²(θ/2) = (1 - u)/2,
+  cos(θ/2) sin(θ/2) = √(1 - u²)/2 and the real cos phi and sin phi;
 * the information and reversibility integrands depend on the state only
   through the scaled outcome probability q, so their quadratures are
   one-dimensional in u; the fidelity integrand retains a phi dependence
@@ -29,9 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DegenerateSampleError, DomainError, IrreversibleError
-from .measurement import MeasurementOperator, PureState
-from .reversal import REVERSIBLE_LAM_TOL
+from .errors import DegenerateSampleError, DomainError
+from .measurement import MeasurementOperator
+from .reversal import _check_reversible
 
 #: Quadrature collapses to the exact limit value below this strength ratio
 #: (the log singularity at q -> 0 would otherwise slow convergence).
@@ -62,73 +64,59 @@ class Estimate:
 def sample_bloch_angles(rng: np.random.Generator, n: int) -> tuple:
     """Draw ``n`` uniform Bloch-sphere states, vectorized.
 
-    Returns ``(theta, phi)`` arrays; cos(theta) is uniform on [-1, 1].
+    Returns ``(u, phi)`` arrays with u = cos θ uniform on [-1, 1].
     """
     if n < 1:
         raise DomainError(f"sample count must be positive, got {n}")
     u = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return np.arccos(u), phi
+    return u, phi
 
 
-def sample_bloch_uniform(rng: np.random.Generator) -> PureState:
-    """Draw one state uniformly from the Bloch sphere."""
-    theta, phi = sample_bloch_angles(rng, 1)
-    return PureState(theta=float(theta[0]), phi=float(phi[0]))
+def _bloch_weights(u: np.ndarray) -> tuple:
+    # cos²(θ/2), sin²(θ/2) and cos(θ/2) sin(θ/2) at u = cos θ.
+    c2 = 0.5 * (1.0 + u)
+    s2 = 0.5 * (1.0 - u)
+    return c2, s2, np.sqrt(c2 * s2)
 
 
-def _half_angles(theta: np.ndarray) -> tuple:
-    half = 0.5 * theta
-    return np.cos(half), np.sin(half)
+def _q(lam: float, u: np.ndarray) -> np.ndarray:
+    """q of the canonical operator, linear in u: ``[(1 + lam^2) + u (1 - lam^2)] / 2``."""
+    return 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
 
 
-def _q_raw(op: MeasurementOperator, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _q_raw(op: MeasurementOperator, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Scaled outcome probability <psi|M†M|psi> / kappa^2 for each state.
 
     Uses the raw matrix, so any right unitary factor shows up pointwise
     (its effect must — and does — wash out of uniform averages).
     """
     g = op.gram()
-    c, s = _half_angles(theta)
-    cross = 2.0 * c * s * (g[0, 1] * np.exp(1j * phi)).real
-    p = c * c * g[0, 0].real + s * s * g[1, 1].real + cross
+    c2, s2, cs = _bloch_weights(u)
+    cross = 2.0 * cs * (g[0, 1].real * np.cos(phi) - g[0, 1].imag * np.sin(phi))
+    p = c2 * g[0, 0].real + s2 * g[1, 1].real + cross
     return p / (op.kappa * op.kappa)
 
 
-def _q_canonical(lam: float, theta: np.ndarray) -> np.ndarray:
-    c, s = _half_angles(theta)
-    return c * c + lam * lam * s * s
-
-
-def _left_amplitude(op: MeasurementOperator, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _left_amplitude(op: MeasurementOperator, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """<psi| u D |psi> with the canonical left factor and core D = diag(1, lam)."""
-    b = op.canonical.u @ np.diag([1.0, op.lam]).astype(complex)
-    c, s = _half_angles(theta)
-    ph = np.exp(1j * phi)
-    return (
-        c * c * b[0, 0]
-        + c * s * ph * b[0, 1]
-        + s * c * np.conj(ph) * b[1, 0]
-        + s * s * b[1, 1]
-    )
+    b = op.canonical.u * np.array([1.0, op.lam])
+    c2, s2, cs = _bloch_weights(u)
+    off = (b[0, 1] + b[1, 0]) * np.cos(phi) + 1j * (b[0, 1] - b[1, 0]) * np.sin(phi)
+    return c2 * b[0, 0] + s2 * b[1, 1] + cs * off
 
 
-def _jackknife_se(columns: tuple, fn: Callable[..., float]) -> float:
-    """Leave-one-block-out standard error of ``fn`` applied to column means."""
-    n = len(columns[0])
+def _jackknife_se(data: np.ndarray, fn: Callable[..., float]) -> float:
+    """Leave-one-block-out standard error of ``fn`` applied to the row means
+    of ``data``, with the blocks of ``np.array_split``."""
+    n = data.shape[1]
     blocks = min(_JACKKNIFE_BLOCKS, n)
-    totals = [float(np.sum(col)) for col in columns]
-    estimates = np.empty(blocks)
-    index_blocks = np.array_split(np.arange(n), blocks)
-    for j, idx in enumerate(index_blocks):
-        kept = n - len(idx)
-        means = [
-            (totals[k] - float(np.sum(col[idx]))) / kept
-            for k, col in enumerate(columns)
-        ]
-        estimates[j] = fn(*means)
-    center = float(np.mean(estimates))
-    return math.sqrt((blocks - 1) / blocks * float(np.sum((estimates - center) ** 2)))
+    k = np.arange(blocks)
+    starts = k * (n // blocks) + np.minimum(k, n % blocks)
+    kept = n - np.diff(starts, append=n)
+    block_sums = np.add.reduceat(data, starts, axis=1)
+    estimates = fn(*((data.sum(axis=1, keepdims=True) - block_sums) / kept))
+    return math.sqrt((blocks - 1) / blocks * float(np.sum((estimates - estimates.mean()) ** 2)))
 
 
 def _ratio_estimate(
@@ -139,20 +127,22 @@ def _ratio_estimate(
 
     ``grad`` gives the gradient of ``fn`` at the means, from which the delta
     method gives the standard error ``sqrt(g . Cov . g / n)``; the jackknife
-    standard error is reported alongside it.
+    standard error is reported alongside it. ``fn`` must also accept arrays
+    of means, one entry per jackknife block.
     """
-    means = [float(np.mean(col)) for col in columns]
+    data = np.vstack(columns)
+    means = [float(np.mean(row)) for row in data]
     if means[0] <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
-    n = len(columns[0])
+    n = data.shape[1]
     g = np.array(grad(*means))
-    var = float(g @ np.atleast_2d(np.cov(np.vstack(columns))) @ g) / n
+    var = float(g @ np.atleast_2d(np.cov(data)) @ g) / n
     return Estimate(
-        value=fn(*means),
+        value=float(fn(*means)),
         std_error=math.sqrt(max(var, 0.0)),
         samples=n,
         method="monte-carlo",
-        std_error_jackknife=_jackknife_se(columns, fn),
+        std_error_jackknife=_jackknife_se(data, fn),
     )
 
 
@@ -172,12 +162,11 @@ def estimate_information(
     which is invariant under rescaling of q.
     """
     samples = _check_samples(samples)
-    theta, phi = sample_bloch_angles(rng, samples)
-    y = _q_raw(op, theta, phi)
+    y = _q_raw(op, *sample_bloch_angles(rng, samples))
     z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
     return _ratio_estimate(
         (y, z),
-        lambda ym, zm: zm / ym - math.log2(ym),
+        lambda ym, zm: zm / ym - np.log2(ym),
         lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
     )
 
@@ -192,11 +181,10 @@ def estimate_fidelity(
     left factor, matching the single-outcome relabeling convention.
     """
     samples = _check_samples(samples)
-    theta, phi = sample_bloch_angles(rng, samples)
-    y = _q_canonical(op.lam, theta)
-    z = np.abs(_left_amplitude(op, theta, phi)) ** 2
+    u, phi = sample_bloch_angles(rng, samples)
+    z = np.abs(_left_amplitude(op, u, phi)) ** 2
     return _ratio_estimate(
-        (y, z), lambda ym, zm: zm / ym, lambda ym, zm: (-zm / ym**2, 1.0 / ym)
+        (_q(op.lam, u), z), lambda ym, zm: zm / ym, lambda ym, zm: (-zm / ym**2, 1.0 / ym)
     )
 
 
@@ -212,12 +200,8 @@ def estimate_reversibility(
         If the strength ratio vanishes: there is no reversal to estimate.
     """
     samples = _check_samples(samples)
-    if op.lam < REVERSIBLE_LAM_TOL:
-        raise IrreversibleError(
-            "operator has a zero singular value; nothing can be reversed"
-        )
-    theta, phi = sample_bloch_angles(rng, samples)
-    y = _q_raw(op, theta, phi)
+    _check_reversible(op.lam)
+    y = _q_raw(op, *sample_bloch_angles(rng, samples))
     lam2 = op.lam * op.lam
     return _ratio_estimate((y,), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,))
 
@@ -229,16 +213,15 @@ def _check_nodes(nodes: int) -> int:
 
 
 def _q_on_nodes(lam: float, nodes: int) -> tuple:
-    """q of the canonical operator and the weights at the Gauss-Legendre
-    nodes in u; q is linear in u, ``[(1 + lam^2) + u (1 - lam^2)] / 2``."""
+    """Gauss-Legendre nodes u, the canonical q there, and the weights."""
     u, w = leggauss(nodes)
-    return 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam)), w
+    return u, _q(lam, u), w
 
 
 def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
-    Gauss-Legendre in u = cos(theta): the integrand q log2 q is smooth for
+    Gauss-Legendre in u = cos θ: the integrand q log2 q is smooth for
     lam > 0 (64 nodes reach ~1e-11 even at lam = 0.05, and machine precision
     by lam ~ 0.2). Below ``QUADRATURE_SMALL_LAM`` the exact lam = 0 limit
     1 - 1/(2 ln 2) is returned instead, since the integrand's derivative
@@ -250,7 +233,7 @@ def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate
         return Estimate(
             value=_INFO_LIMIT_AT_ZERO, std_error=0.0, samples=nodes, method="quadrature"
         )
-    q, w = _q_on_nodes(lam, nodes)
+    _, q, w = _q_on_nodes(lam, nodes)
     qbar = 0.5 * float(np.sum(w * q))
     qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
     value = qlog / qbar - math.log2(qbar)
@@ -264,16 +247,12 @@ def quadrature_fidelity(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     uniform points in phi.
     """
     nodes = _check_nodes(nodes)
-    u, w = leggauss(nodes)
+    u, q, w = _q_on_nodes(op.lam, nodes)
     n_phi = 2 * nodes
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    z = np.abs(_left_amplitude(op, u[:, None], phi)) ** 2
+    z_phi_avg = z.mean(axis=1)
 
-    theta = np.arccos(u)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    z = np.abs(_left_amplitude(op, tt.ravel(), pp.ravel())) ** 2
-    z_phi_avg = z.reshape(nodes, n_phi).mean(axis=1)
-
-    q = _q_canonical(op.lam, theta)
     qbar = 0.5 * float(np.sum(w * q))
     zbar = 0.5 * float(np.sum(w * z_phi_avg))
     return Estimate(
@@ -293,11 +272,8 @@ def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estima
     """
     nodes = _check_nodes(nodes)
     lam = op.lam
-    if lam < REVERSIBLE_LAM_TOL:
-        raise IrreversibleError(
-            "operator has a zero singular value; nothing can be reversed"
-        )
-    q, w = _q_on_nodes(lam, nodes)
+    _check_reversible(lam)
+    _, q, w = _q_on_nodes(lam, nodes)
     qbar = 0.5 * float(np.sum(w * q))
     return Estimate(
         value=lam * lam / qbar, std_error=0.0, samples=nodes, method="quadrature"

@@ -30,6 +30,13 @@ REVERSIBLE_LAM_TOL = 1e-14
 RECOVERY_OVERLAP_TOL = 1e-10
 
 
+def _check_reversible(lam: float) -> None:
+    if lam < REVERSIBLE_LAM_TOL:
+        raise IrreversibleError(
+            "operator has a zero singular value; the outcome cannot be undone"
+        )
+
+
 @dataclass(frozen=True)
 class ReversingMeasurement:
     """Success operator of the optimal reversing measurement.
@@ -73,10 +80,7 @@ def optimal_reversing(op: MeasurementOperator) -> ReversingMeasurement:
         amplitude and nothing can restore it.
     """
     canon = op.canonical
-    if canon.lam < REVERSIBLE_LAM_TOL:
-        raise IrreversibleError(
-            "operator has a zero singular value; the outcome cannot be undone"
-        )
+    _check_reversible(canon.lam)
     core = np.diag([canon.lam, 1.0]).astype(complex)
     matrix = dagger(canon.v) @ core @ dagger(canon.u)
     return ReversingMeasurement(matrix=matrix, eta=canon.kappa * canon.lam, source=op)
@@ -92,10 +96,7 @@ def reversal_success_probability(op: MeasurementOperator, state: PureState) -> f
     weakest.
     """
     canon = op.canonical
-    if canon.lam < REVERSIBLE_LAM_TOL:
-        raise IrreversibleError(
-            "operator has a zero singular value; the outcome cannot be undone"
-        )
+    _check_reversible(canon.lam)
     p = outcome_probability(op, state)
     if p <= 0.0:
         raise ZeroProbabilityError("outcome has zero probability on this state")

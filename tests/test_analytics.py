@@ -97,6 +97,39 @@ class TestInformationGain:
                 information_gain(bad)
 
 
+CLOSED_FORMS = (
+    information_gain,
+    optimal_fidelity,
+    reversibility,
+    efficiency_fidelity,
+    efficiency_reversibility,
+)
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS)
+class TestLambdaTypes:
+    """Any finite real and any 0-d numeric array is a strength ratio;
+    booleans, NaN and non-numbers are not."""
+
+    @pytest.mark.parametrize(
+        "lam",
+        [0.5, np.float32(0.5), np.float64(0.5), np.array(0.5), 0, 1, np.int64(1), np.array(0)],
+        ids=repr,
+    )
+    def test_reals_accepted(self, closed_form, lam):
+        assert closed_form(lam) == closed_form(float(lam))
+
+    @pytest.mark.parametrize(
+        "lam",
+        [True, False, np.bool_(True), np.array(True), np.array([0.5]), "0.5", None, 0.5j,
+         np.float32("nan"), float("inf")],
+        ids=repr,
+    )
+    def test_non_reals_rejected(self, closed_form, lam):
+        with pytest.raises(DomainError):
+            closed_form(lam)
+
+
 class TestFidelity:
     def test_frozen_reference_values(self):
         for lam, beta, gamma, ref in FIDELITY_REFERENCE:
@@ -247,10 +280,10 @@ class TestRecordsAndTotals:
         from qmtradeoff.oracle import sample_bloch_angles
 
         op = MeasurementOperator(0.8 * np.diag([1.0, 0.5]))
-        theta, phi = sample_bloch_angles(np.random.default_rng(73), 200_000)
+        u, phi = sample_bloch_angles(np.random.default_rng(73), 200_000)
         probs = [
             outcome_probability(op, PureState(theta=t, phi=f))
-            for t, f in zip(theta[:20_000], phi[:20_000])
+            for t, f in zip(np.arccos(u[:20_000]), phi[:20_000])
         ]
         mean = float(np.mean(probs))
         se = float(np.std(probs, ddof=1)) / np.sqrt(len(probs))

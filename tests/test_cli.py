@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ class TestAnalyze:
         path = write_matrix(tmp_path / "big.json", np.diag([1.5, 0.5]))
         code, _, err = run(capsys, "analyze", path)
         assert code == 2
+
+    def test_overflowing_matrix_rejected_for_its_norm(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "huge.json", 1e200 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert "exceeds 1" in err
 
 
 class TestVerify:

@@ -108,6 +108,15 @@ class TestSvd2:
             if a.lam > 1e-6 and 1.0 - a.lam > 1e-6:  # gauge unique away from ties
                 np.testing.assert_allclose(a.u, b.u, atol=1e-10)
 
+    def test_huge_entries_keep_finite_factors(self):
+        r = svd2(1e200 * np.diag([1.0, 0.5]))
+        assert r.kappa == pytest.approx(1e200, rel=1e-15)
+        assert r.lam == pytest.approx(0.5, rel=1e-15)
+
+    def test_overflowing_scale_rejected(self):
+        with pytest.raises(FormatError):
+            svd2(1.5e308 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
     def test_tiny_lambda_stays_accurate(self):
         m = np.diag([1.0, 1e-12]).astype(complex)
         r = svd2(m)
@@ -237,3 +246,43 @@ def test_svd2_invariants_property(entries):
     np.testing.assert_allclose(recompose(r), m, atol=1e-11 * scale)
     np.testing.assert_allclose(dagger(r.u) @ r.u, np.eye(2), atol=1e-11)
     np.testing.assert_allclose(dagger(r.v) @ r.v, np.eye(2), atol=1e-11)
+
+
+def complex_matrix(entries):
+    return np.array(entries[:4]).reshape(2, 2) + 1j * np.array(entries[4:]).reshape(2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(finite, min_size=8, max_size=8),
+    c=st.floats(min_value=1e-10, max_value=1e150),
+)
+def test_svd2_scale_equivariance_property(entries, c):
+    """svd2(c m) has the strength ratio of svd2(m) and the scale c kappa,
+    and reconstructs c m, even where m† m of c m would overflow."""
+    m = complex_matrix(entries)
+    if np.abs(m).max() < 1e-3:
+        return
+    r = svd2(m)
+    s = svd2(c * m)
+    assert s.kappa == pytest.approx(c * r.kappa, rel=1e-12)
+    assert s.lam == pytest.approx(r.lam, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(recompose(s) / c, m, atol=1e-11 * np.abs(m).max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(finite, min_size=8, max_size=8), k=st.integers(-33, 498))
+def test_svd2_power_of_two_scale_keeps_factors_property(entries, k):
+    """For c = 2^k (1e-10 to 1e150) c m is exact outside the subnormal
+    range, so u and v must come out the same. For other c the rounding of
+    c m alone can flip the phase gauge of u where a column's two entries tie
+    in modulus, e.g. m = [[1j, 0.5], [0.5, 1]] with c = 3."""
+    m = complex_matrix(entries)
+    if np.abs(m).max() < 1e-3:
+        return
+    r = svd2(m)
+    s = svd2(2.0**k * m)
+    assert s.kappa == pytest.approx(2.0**k * r.kappa, rel=1e-12)
+    assert s.lam == pytest.approx(r.lam, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(s.u, r.u, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(s.v, r.v, rtol=1e-12, atol=1e-12)

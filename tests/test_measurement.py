@@ -75,6 +75,13 @@ class TestMeasurementOperator:
         with pytest.raises(InvalidStrengthError):
             MeasurementOperator(np.diag([1.5, 0.5]))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_rejects_overflowing_operator(self, scale):
+        with pytest.raises(InvalidStrengthError):
+            MeasurementOperator(scale * np.eye(2))
+        with pytest.raises(InvalidStrengthError):
+            MeasurementOperator(scale * np.array([[0.8, 0.3], [0.1, 0.5]]))
+
     def test_matrix_copy_is_safe(self):
         m = np.diag([1.0, 0.5]).astype(complex)
         op = MeasurementOperator(m)

@@ -13,6 +13,7 @@ from qmtradeoff.errors import DomainError, IrreversibleError
 from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator
 from qmtradeoff.oracle import (
+    _q_raw,
     estimate_fidelity,
     estimate_information,
     estimate_reversibility,
@@ -20,7 +21,6 @@ from qmtradeoff.oracle import (
     quadrature_information,
     quadrature_reversibility,
     sample_bloch_angles,
-    sample_bloch_uniform,
 )
 
 
@@ -32,8 +32,7 @@ class TestSampler:
     def test_cos_theta_uniform(self):
         rng = np.random.default_rng(314)
         n = 200_000
-        theta, phi = sample_bloch_angles(rng, n)
-        u = np.cos(theta)
+        u, phi = sample_bloch_angles(rng, n)
         # mean of U(-1, 1) has sd 1/sqrt(3n)
         assert abs(u.mean()) < 3.0 / np.sqrt(3.0 * n)
         assert abs(phi.mean() - np.pi) < 3.0 * np.pi / np.sqrt(3.0 * n)
@@ -43,8 +42,8 @@ class TestSampler:
         """Each z-hemisphere and each phi quadrant should get its share."""
         rng = np.random.default_rng(315)
         n = 80_000
-        theta, phi = sample_bloch_angles(rng, n)
-        north = np.count_nonzero(np.cos(theta) > 0)
+        u, phi = sample_bloch_angles(rng, n)
+        north = np.count_nonzero(u > 0)
         assert abs(north - n / 2) < 3.0 * np.sqrt(n * 0.25)
         for k in range(4):
             in_quadrant = np.count_nonzero(
@@ -57,14 +56,9 @@ class TestSampler:
         uniform sphere measure; its sd is 1/sqrt(12)."""
         rng = np.random.default_rng(317)
         n = 200_000
-        theta, _ = sample_bloch_angles(rng, n)
-        mean = float(np.mean(np.cos(theta / 2.0) ** 2))
+        u, _ = sample_bloch_angles(rng, n)
+        mean = float(np.mean(0.5 * (1.0 + u)))
         assert abs(mean - 0.5) < 3.0 / np.sqrt(12.0 * n)
-
-    def test_single_state_helper(self):
-        state = sample_bloch_uniform(np.random.default_rng(316))
-        assert 0.0 <= state.theta <= np.pi
-        assert 0.0 <= state.phi < 2.0 * np.pi
 
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
@@ -190,6 +184,51 @@ class TestMonteCarloAgreement:
             estimate_reversibility(
                 diag_op(0.0), samples=1000, rng=np.random.default_rng(8)
             )
+
+
+def loop_jackknife(columns, fn, blocks=100):
+    """Leave-one-block-out standard error, one block at a time."""
+    n = len(columns[0])
+    estimates = []
+    for idx in np.array_split(np.arange(n), min(blocks, n)):
+        kept = np.ones(n, dtype=bool)
+        kept[idx] = False
+        estimates.append(fn(*(float(np.mean(col[kept])) for col in columns)))
+    estimates = np.array(estimates)
+    k = len(estimates)
+    return float(np.sqrt((k - 1) / k * np.sum((estimates - estimates.mean()) ** 2)))
+
+
+class TestJackknife:
+    """The block estimates are computed in one array expression; pin them
+    against the plain loop, including fewer samples than blocks."""
+
+    OP = MeasurementOperator(
+        su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0)) @ np.diag([0.9, 0.35])
+    )
+
+    @pytest.mark.parametrize("n", [2000, 2001, 57])
+    def test_information_matches_loop(self, n):
+        est = estimate_information(self.OP, samples=n, rng=np.random.default_rng(n))
+        y = _q_raw(self.OP, *sample_bloch_angles(np.random.default_rng(n), n))
+        expected = loop_jackknife((y, y * np.log2(y)), lambda ym, zm: zm / ym - np.log2(ym))
+        assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2000, 2001, 57])
+    def test_reversibility_matches_loop(self, n):
+        est = estimate_reversibility(self.OP, samples=n, rng=np.random.default_rng(n))
+        y = _q_raw(self.OP, *sample_bloch_angles(np.random.default_rng(n), n))
+        lam2 = self.OP.lam**2
+        expected = loop_jackknife((y,), lambda ym: lam2 / ym)
+        assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2000, 57])
+    def test_estimates_are_python_floats(self, n):
+        for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
+            est = estimator(self.OP, samples=n, rng=np.random.default_rng(n))
+            assert type(est.value) is float
+            assert type(est.std_error) is float
+            assert type(est.std_error_jackknife) is float
 
 
 class TestQuadratureAgreement:
