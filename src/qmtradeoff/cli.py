@@ -37,6 +37,7 @@ import numpy as np
 
 from . import analytics, oracle
 from .errors import (
+    DegenerateSampleError,
     DomainError,
     FormatError,
     IncompleteSetError,
@@ -341,6 +342,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
+        DegenerateSampleError,
         DomainError,
         FormatError,
         IncompleteSetError,

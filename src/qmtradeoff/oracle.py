@@ -18,12 +18,19 @@ Conventions shared by both routes:
   through the left unitary factor and uses a tensor grid (Gauss-Legendre in
   u times a uniform periodic rule in phi — the integrand is a degree-2
   trigonometric polynomial in phi, integrated exactly by >= 5 points);
+* the Gauss-Legendre rule is built once per node count and shared,
+  read-only, by every later quadrature call with that count;
+* q is linear in u and, at small lam, vanishes just beyond u = -1 (at
+  u ~ -1 - 2 lam^2), where q log q is not analytic. Below lam = 0.05 the
+  information quadrature therefore maps the same rule onto subintervals
+  graded geometrically toward u = -1;
 * Monte Carlo ratio estimators report a delta-method standard error and a
   100-block jackknife standard error as an independent second opinion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,6 +45,10 @@ from .reversal import _check_reversible
 #: Quadrature collapses to the exact limit value below this strength ratio
 #: (the log singularity at q -> 0 would otherwise slow convergence).
 QUADRATURE_SMALL_LAM = 1e-6
+
+# Below this strength ratio the information quadrature integrates over
+# subintervals graded toward u = -1 instead of with a single rule.
+_GRADED_BELOW_LAM = 0.05
 
 _INFO_LIMIT_AT_ZERO = 1.0 - 1.0 / (2.0 * math.log(2.0))
 
@@ -106,14 +117,27 @@ def _left_amplitude(op: MeasurementOperator, u: np.ndarray, phi: np.ndarray) -> 
     return c2 * b[0, 0] + s2 * b[1, 1] + cs * off
 
 
-def _jackknife_se(data: np.ndarray, fn: Callable[..., float]) -> float:
-    """Leave-one-block-out standard error of ``fn`` applied to the row means
-    of ``data``, with the blocks of ``np.array_split``."""
-    n = data.shape[1]
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache
+def _jackknife_blocks(n: int) -> tuple:
+    """Start index and leave-one-out size of each block that
+    ``np.array_split`` makes of ``n`` samples."""
     blocks = min(_JACKKNIFE_BLOCKS, n)
     k = np.arange(blocks)
     starts = k * (n // blocks) + np.minimum(k, n % blocks)
-    kept = n - np.diff(starts, append=n)
+    return _read_only(starts, n - np.diff(starts, append=n))
+
+
+def _jackknife_se(data: np.ndarray, fn: Callable[..., float]) -> float:
+    """Leave-one-block-out standard error of ``fn`` applied to the row means
+    of ``data``, with the blocks of ``np.array_split``."""
+    starts, kept = _jackknife_blocks(data.shape[1])
+    blocks = starts.size
     block_sums = np.add.reduceat(data, starts, axis=1)
     estimates = fn(*((data.sum(axis=1, keepdims=True) - block_sums) / kept))
     return math.sqrt((blocks - 1) / blocks * float(np.sum((estimates - estimates.mean()) ** 2)))
@@ -131,12 +155,18 @@ def _ratio_estimate(
     of means, one entry per jackknife block.
     """
     data = np.vstack(columns)
-    means = [float(np.mean(row)) for row in data]
+    n = data.shape[1]
+    mean = data.mean(axis=1)
+    means = mean.tolist()
     if means[0] <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
-    n = data.shape[1]
     g = np.array(grad(*means))
-    var = float(g @ np.atleast_2d(np.cov(data)) @ g) / n
+    # np.cov(data)'s own arithmetic without its argument handling, so that
+    # std_error keeps every bit.
+    x = data - mean[:, None]
+    cov = np.dot(x, x.T)
+    cov *= np.true_divide(1, n - 1)
+    var = float(g @ cov @ g) / n
     return Estimate(
         value=float(fn(*means)),
         std_error=math.sqrt(max(var, 0.0)),
@@ -212,20 +242,41 @@ def _check_nodes(nodes: int) -> int:
     return int(nodes)
 
 
+@functools.lru_cache
+def _gauss_legendre(nodes: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    return _read_only(*leggauss(nodes))
+
+
 def _q_on_nodes(lam: float, nodes: int) -> tuple:
     """Gauss-Legendre nodes u, the canonical q there, and the weights."""
-    u, w = leggauss(nodes)
+    u, w = _gauss_legendre(nodes)
     return u, _q(lam, u), w
+
+
+def _graded_rule(lam: float, nodes: int) -> tuple:
+    """The ``nodes``-point rule mapped onto each subinterval between the
+    breakpoints -1, -1 + 2 * 8^-k for k = K, ..., 1, and 1, where
+    K = ceil(log_8(1 / lam^2)), so that the innermost subinterval is no wider
+    than the distance ~2 lam^2 from u = -1 to the zero of q."""
+    x, w = _gauss_legendre(nodes)
+    k = math.ceil(math.log(1.0 / (lam * lam), 8))
+    edges = np.concatenate(([-1.0], -1.0 + 2.0 * 8.0 ** -np.arange(k, 0, -1), [1.0]))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
     Gauss-Legendre in u = cos θ: the integrand q log2 q is smooth for
-    lam > 0 (64 nodes reach ~1e-11 even at lam = 0.05, and machine precision
-    by lam ~ 0.2). Below ``QUADRATURE_SMALL_LAM`` the exact lam = 0 limit
-    1 - 1/(2 ln 2) is returned instead, since the integrand's derivative
-    blows up as q -> 0.
+    lam > 0 (64 nodes reach ~1e-11 at lam = 0.05, and machine precision by
+    lam ~ 0.2). Below lam = 0.05 the zero of q comes within ~2 lam^2 of
+    u = -1 and a single rule converges slowly, so the rule is applied on
+    subintervals graded toward u = -1 (``samples`` then counts every node).
+    Below ``QUADRATURE_SMALL_LAM`` the exact lam = 0 limit 1 - 1/(2 ln 2) is
+    returned instead.
     """
     nodes = _check_nodes(nodes)
     lam = op.lam
@@ -233,11 +284,12 @@ def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate
         return Estimate(
             value=_INFO_LIMIT_AT_ZERO, std_error=0.0, samples=nodes, method="quadrature"
         )
-    _, q, w = _q_on_nodes(lam, nodes)
+    u, w = _graded_rule(lam, nodes) if lam < _GRADED_BELOW_LAM else _gauss_legendre(nodes)
+    q = _q(lam, u)
     qbar = 0.5 * float(np.sum(w * q))
     qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
     value = qlog / qbar - math.log2(qbar)
-    return Estimate(value=value, std_error=0.0, samples=nodes, method="quadrature")
+    return Estimate(value=value, std_error=0.0, samples=q.size, method="quadrature")
 
 
 def quadrature_fidelity(op: MeasurementOperator, nodes: int = 64) -> Estimate:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmtradeoff import cli
+from qmtradeoff.errors import DegenerateSampleError
 from qmtradeoff.linalg import matrix_to_json
 
 SWEEP_FIVE_POINTS = """\
@@ -252,6 +253,20 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert report["failures"] >= 2  # at least the quadrature checks
+
+    def test_degenerate_sample_is_usage_error(self, capsys, monkeypatch):
+        """An estimator whose sample average of q is not positive makes
+        verify exit 2 with an error line, not a traceback."""
+
+        def degenerate(op, samples, rng):
+            raise DegenerateSampleError("sample average of q is not positive")
+
+        closed_form, quadrature, _ = cli.QUANTITIES["information"]
+        monkeypatch.setitem(cli.QUANTITIES, "information", (closed_form, quadrature, degenerate))
+        code, out, err = run(capsys, *self.ARGS)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "error: sample average of q is not positive"
 
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:

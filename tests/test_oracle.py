@@ -5,14 +5,19 @@ through the formulas being checked, beyond using them as the comparison
 target.
 """
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from qmtradeoff import analytics
 from qmtradeoff.errors import DomainError, IrreversibleError
 from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator
 from qmtradeoff.oracle import (
+    _gauss_legendre,
+    _left_amplitude,
     _q_raw,
     estimate_fidelity,
     estimate_information,
@@ -222,6 +227,29 @@ class TestJackknife:
         expected = loop_jackknife((y,), lambda ym: lam2 / ym)
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2000, 2001, 57])
+    def test_delta_method_matches_np_cov(self, n):
+        """The covariance is formed without np.cov, by its own arithmetic;
+        std_error must equal sqrt(g . np.cov(data) . g / n) bit for bit."""
+        op, lam2 = self.OP, self.OP.lam * self.OP.lam
+        u, phi = sample_bloch_angles(np.random.default_rng(n), n)
+        y = _q_raw(op, u, phi)
+        z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
+        q = 0.5 * ((1.0 + lam2) + u * (1.0 - lam2))
+        cases = [
+            (estimate_information, (y, z),
+             lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym)),
+            (estimate_fidelity, (q, np.abs(_left_amplitude(op, u, phi)) ** 2),
+             lambda ym, zm: (-zm / ym**2, 1.0 / ym)),
+            (estimate_reversibility, (y,), lambda ym: (-lam2 / ym**2,)),
+        ]
+        for estimator, columns, grad in cases:
+            data = np.vstack(columns)
+            g = np.array(grad(*(float(np.mean(row)) for row in data)))
+            expected = math.sqrt(float(g @ np.atleast_2d(np.cov(data)) @ g) / n)
+            est = estimator(op, samples=n, rng=np.random.default_rng(n))
+            assert est.std_error == expected, estimator.__name__
+
     @pytest.mark.parametrize("n", [2000, 57])
     def test_estimates_are_python_floats(self, n):
         for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
@@ -273,6 +301,18 @@ class TestQuadratureAgreement:
                 assert abs(quadrature_information(op).value - ref_i) < 1e-10
                 assert abs(quadrature_reversibility(op).value - ref_r) < 1e-10
 
+    def test_graded_rule_below_cutoff(self):
+        """Below lam = 0.05 the zero of q sits within ~2 lam^2 of u = -1; the
+        graded rule must still meet the closed form to 1e-12."""
+        grid = np.concatenate((
+            np.geomspace(1e-6, 0.05, 60, endpoint=False),
+            np.arange(1, 15) * 1e-3,
+            [0.015, 0.019, 0.0499999],
+        ))
+        for lam in grid:
+            est = quadrature_information(diag_op(lam))
+            assert abs(est.value - analytics.information_gain(lam)) < 1e-12, lam
+
     def test_small_lambda_maps_to_limit(self):
         assert quadrature_information(diag_op(0.0)).value == pytest.approx(
             analytics.INFO_AT_ZERO, abs=1e-14
@@ -300,3 +340,39 @@ class TestQuadratureAgreement:
         est = quadrature_information(diag_op(0.5), nodes=32)
         assert est.method == "quadrature"
         assert est.std_error == 0.0
+
+
+class TestNodeCache:
+    """The Gauss-Legendre rule is built once per node count and shared."""
+
+    OP = MeasurementOperator(
+        su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0)) @ np.diag([0.9, 0.35])
+    )
+
+    def reference(self, nodes):
+        """All three quadratures from a freshly built rule."""
+        u, w = leggauss(nodes)
+        lam = self.OP.lam
+        q = 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
+        qbar = 0.5 * float(np.sum(w * q))
+        qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
+        phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
+        z = np.abs(_left_amplitude(self.OP, u[:, None], phi)) ** 2
+        zbar = 0.5 * float(np.sum(w * z.mean(axis=1)))
+        return qlog / qbar - math.log2(qbar), zbar / qbar, lam * lam / qbar
+
+    def test_quadratures_match_fresh_rule(self):
+        for nodes in (8, 64, 65, 8, 65, 64):
+            got = tuple(
+                quadrature(self.OP, nodes=nodes).value
+                for quadrature in (
+                    quadrature_information, quadrature_fidelity, quadrature_reversibility
+                )
+            )
+            assert got == self.reference(nodes), nodes
+
+    def test_cached_rule_is_read_only(self):
+        for a in _gauss_legendre(64):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
