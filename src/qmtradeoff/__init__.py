@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     FormatError,
     IncompleteSetError,
+    InputError,
     InvalidStrengthError,
     IrreversibleError,
     NotUnitaryError,
@@ -42,21 +43,15 @@ from .linalg import (
     Svd2Result,
     matrix_from_json,
     matrix_to_json,
-    su2_matrix,
     su2_params,
     svd2,
 )
 from .measurement import (
-    CompletenessReport,
     MeasurementOperator,
-    MeasurementRecord,
     MeasurementSet,
     PureState,
     check_completeness,
     outcome_probability,
-    post_measurement_state,
-    q_value,
-    sample_outcome,
     two_outcome_family,
 )
 from .oracle import (
@@ -80,7 +75,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AveragedQuantities",
-    "CompletenessReport",
     "DegenerateSampleError",
     "DomainError",
     "EFF_FIDELITY_AT_ONE",
@@ -89,10 +83,10 @@ __all__ = [
     "FormatError",
     "INFO_AT_ZERO",
     "IncompleteSetError",
+    "InputError",
     "InvalidStrengthError",
     "IrreversibleError",
     "MeasurementOperator",
-    "MeasurementRecord",
     "MeasurementSet",
     "NotUnitaryError",
     "PureState",
@@ -119,16 +113,12 @@ __all__ = [
     "optimal_reversing",
     "outcome_probability",
     "outcome_probability_total",
-    "post_measurement_state",
-    "q_value",
     "quadrature_fidelity",
     "quadrature_information",
     "quadrature_reversibility",
     "reversal_success_probability",
     "reversibility",
-    "sample_outcome",
     "simulate_reversal",
-    "su2_matrix",
     "su2_params",
     "svd2",
     "tradeoff_record",

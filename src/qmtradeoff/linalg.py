@@ -30,6 +30,10 @@ ZERO_OPERATOR_TOL = 1e-14
 #: Relative spread below which the two singular values count as degenerate.
 DEGENERACY_TOL = 1e-14
 
+#: Relative margin by which a column's second entry must exceed the first in
+#: modulus before the phase gauge is taken from it instead of the first.
+GAUGE_TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Svd2Result:
@@ -43,9 +47,8 @@ class Svd2Result:
         Ratio of smaller to larger singular value, in [0, 1].
     u, v : np.ndarray
         2x2 unitaries with ``kappa * u @ diag(1, lam) @ v`` reproducing the
-        input. ``u``'s column phases are fixed deterministically (largest
-        modulus entry of each column is real positive), with the compensating
-        phases absorbed into the rows of ``v``.
+        input. ``u``'s column phases are fixed by :func:`svd2`'s gauge, with
+        the compensating phases absorbed into the rows of ``v``.
     """
 
     kappa: float
@@ -89,12 +92,6 @@ def as_matrix2(m) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
-
-
-def is_unitary(m, tol: float = UNITARITY_TOL) -> bool:
-    """True when ``m m†`` is entrywise within ``tol`` of the identity."""
-    m = as_matrix2(m)
-    return float(np.max(np.abs(m @ dagger(m) - np.eye(2)))) <= tol
 
 
 def _perp(vec: np.ndarray) -> np.ndarray:
@@ -157,10 +154,13 @@ def svd2(m) -> Svd2Result:
     * the second column of ``u`` is the exact orthonormal complement of the
       first (phase aligned with ``m @ v2``), never ``m @ v2 / sigma2``,
       whose direction degrades like eps/lam for small ``lam``;
-    * each column of ``u`` is rotated so its largest-modulus entry is real
-      positive, the phase moving into ``v``. This pins the otherwise
-      arbitrary gauge, making ``u`` a function of ``m m†`` alone — i.e.
-      unchanged when ``m`` is multiplied by a unitary on the right.
+    * each column of ``u`` is rotated so its first entry is real positive,
+      or its second when that is larger in modulus by a relative margin of
+      ``GAUGE_TIE_TOL``, the phase moving into ``v``. This pins the
+      otherwise arbitrary gauge, making ``u`` a function of ``m m†`` alone —
+      i.e. unchanged when ``m`` is multiplied by a unitary on the right. The
+      margin keeps a modulus tie (such as a Hadamard column) on the first
+      entry, so rounding the input, e.g. by scaling it, cannot move it.
     """
     m = as_matrix2(m)
     e = math.frexp(max(map(abs, m.flat)))[1]
@@ -212,7 +212,7 @@ def svd2(m) -> Svd2Result:
 
     # Deterministic phase gauge; keeps u_i v_i† (hence the product) unchanged.
     for i in range(2):
-        j = int(np.argmax(np.abs(u[:, i])))
+        j = int(abs(u[1, i]) > abs(u[0, i]) * (1.0 + GAUGE_TIE_TOL))
         phase = u[j, i] / abs(u[j, i])
         u[:, i] *= np.conj(phase)
         v[i, :] *= phase
@@ -220,15 +220,13 @@ def svd2(m) -> Svd2Result:
     return Svd2Result(kappa=kappa, lam=lam, u=u, v=v)
 
 
-def su2_params(u, tol: float = UNITARITY_TOL) -> Su2Params:
+def su2_params(u) -> Su2Params:
     """Extract (alpha, beta, gamma, delta) from a 2x2 unitary.
 
     Parameters
     ----------
     u : array_like
-        2x2 matrix, unitary within ``tol``.
-    tol : float
-        Allowed deviation of ``u u†`` from the identity.
+        2x2 matrix, unitary within ``UNITARITY_TOL``.
 
     Returns
     -------
@@ -239,10 +237,13 @@ def su2_params(u, tol: float = UNITARITY_TOL) -> Su2Params:
     """
     u = as_matrix2(u)
     dev = float(np.max(np.abs(u @ dagger(u) - np.eye(2))))
-    if dev > tol:
-        raise NotUnitaryError(f"matrix deviates from unitarity by {dev:.3e} > {tol:.3e}")
+    if dev > UNITARITY_TOL:
+        raise NotUnitaryError(
+            f"matrix deviates from unitarity by {dev:.3e} > {UNITARITY_TOL:.3e}"
+        )
 
-    alpha = 0.5 * math.atan2(np.linalg.det(u).imag, np.linalg.det(u).real)
+    det = np.linalg.det(u)
+    alpha = 0.5 * math.atan2(det.imag, det.real)
     w = u * np.exp(-1j * alpha)
     # In exact arithmetic w[1,1] = conj(w[0,0]) and w[0,1] = -conj(w[1,0]);
     # averaging the two copies costs nothing and absorbs rounding noise.

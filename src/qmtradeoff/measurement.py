@@ -11,7 +11,7 @@ ratio ``lam``, and the unitary factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,11 +21,10 @@ from .errors import (
     FormatError,
     IncompleteSetError,
     InvalidStrengthError,
-    ZeroProbabilityError,
 )
 from .linalg import Svd2Result, as_matrix2, dagger, matrix_from_json, matrix_to_json, svd2
 
-#: Default tolerance on || sum M† M - I || for complete sets.
+#: Tolerance on || sum M† M - I || for complete sets.
 COMPLETENESS_TOL = 1e-10
 
 #: Allowed overshoot of the operator norm above 1.
@@ -61,13 +60,6 @@ class PureState:
         """Complex amplitude pair, unit norm within 1e-14."""
         half = 0.5 * self.theta
         return np.array([math.cos(half), np.exp(1j * self.phi) * math.sin(half)])
-
-    def bloch_vector(self) -> np.ndarray:
-        """Cartesian (x, y, z) on the unit sphere."""
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
 
     @classmethod
     def from_amplitudes(cls, vec) -> "PureState":
@@ -166,87 +158,22 @@ def outcome_probability(op: MeasurementOperator, state: PureState) -> float:
     return _clamp_probability(p)
 
 
-def q_value(lam: float, theta: float) -> float:
-    """Scaled outcome probability ``cos^2(theta/2) + lam^2 sin^2(theta/2)``.
-
-    This is the outcome probability of the canonical operator
-    ``diag(1, lam)`` on the state at polar angle ``theta``, i.e. the raw
-    probability with the scale ``kappa^2`` divided out. Ranges over
-    [lam^2, 1].
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lam must lie in [0, 1], got {lam}")
-    if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    return c * c + lam * lam * s * s
-
-
-def post_measurement_state(op: MeasurementOperator, state: PureState) -> PureState:
-    """State after obtaining this outcome: ``M|psi>`` renormalized.
-
-    Raises
-    ------
-    ZeroProbabilityError
-        When the outcome probability vanishes (below 1e-14), e.g. a
-        projective operator applied to an orthogonal state.
-    """
-    amp = op.matrix @ state.amplitudes()
-    norm_sq = float(np.real(np.vdot(amp, amp)))
-    if norm_sq < 1e-14:
-        raise ZeroProbabilityError(
-            "outcome has zero probability on this state; no post-state exists"
-        )
-    return PureState.from_amplitudes(amp)
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Result of checking sum_m M† M against the identity."""
-
-    max_deviation: float
-    tol: float
-    passed: bool
-
-
-def check_completeness(
-    operators: "Sequence[MeasurementOperator] | MeasurementSet",
-    tol: float = COMPLETENESS_TOL,
-) -> CompletenessReport:
-    """Measure how far ``sum_m M† M`` is from the identity, entrywise."""
-    if isinstance(operators, MeasurementSet):
-        operators = operators.operators
-    total = np.zeros((2, 2), dtype=complex)
-    for op in operators:
-        if not isinstance(op, MeasurementOperator):
-            op = MeasurementOperator(op)
-        total += op.gram()
-    dev = float(np.max(np.abs(total - np.eye(2))))
-    return CompletenessReport(max_deviation=dev, tol=tol, passed=dev <= tol)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One sampled measurement event."""
-
-    outcome: object
-    probability: float
-    pre_state: PureState
-    post_state: PureState
+def check_completeness(operators: Sequence[MeasurementOperator]) -> float:
+    """Largest entrywise deviation of ``sum_m M† M`` from the identity."""
+    total = sum(op.gram() for op in operators)
+    return float(np.max(np.abs(total - np.eye(2))))
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
     """A complete collection of measurement operators.
 
-    Completeness (``sum_m M† M = I`` within ``tol``) is enforced at
-    construction; labels default to the operator indices.
+    Completeness (``sum_m M† M = I`` within ``COMPLETENESS_TOL``) is
+    enforced at construction; labels default to the operator indices.
     """
 
     operators: tuple
-    labels: tuple = field(default=())
-    tol: float = COMPLETENESS_TOL
+    labels: tuple = ()
 
     def __post_init__(self):
         ops = tuple(
@@ -262,11 +189,11 @@ class MeasurementSet:
                 f"{len(labels)} labels for {len(ops)} operators"
             )
         object.__setattr__(self, "labels", tuple(labels))
-        report = check_completeness(ops, self.tol)
-        if not report.passed:
+        dev = check_completeness(ops)
+        if dev > COMPLETENESS_TOL:
             raise IncompleteSetError(
-                f"operators sum deviates from identity by {report.max_deviation:.3e}"
-                f" > {self.tol:.3e}"
+                f"operators sum deviates from identity by {dev:.3e}"
+                f" > {COMPLETENESS_TOL:.3e}"
             )
 
     def __len__(self):
@@ -280,7 +207,7 @@ class MeasurementSet:
         }
 
     @classmethod
-    def from_json(cls, payload, tol: float = COMPLETENESS_TOL) -> "MeasurementSet":
+    def from_json(cls, payload) -> "MeasurementSet":
         """Inverse of :meth:`to_json`; labels are optional in the payload."""
         if not isinstance(payload, dict) or "operators" not in payload:
             raise FormatError('measurement set payload must contain "operators"')
@@ -289,31 +216,7 @@ class MeasurementSet:
             raise FormatError('"operators" must be a non-empty list')
         ops = tuple(MeasurementOperator(matrix_from_json(m)) for m in mats)
         labels = payload.get("labels") or ()
-        return cls(operators=ops, labels=tuple(labels), tol=tol)
-
-
-def sample_outcome(
-    mset: MeasurementSet, state: PureState, rng: np.random.Generator
-) -> MeasurementRecord:
-    """Draw one outcome and return the full measurement record.
-
-    Probabilities are renormalized if rounding puts their sum within
-    1e-10 of (but not exactly at) 1.
-    """
-    probs = np.array([outcome_probability(op, state) for op in mset.operators])
-    total = float(probs.sum())
-    if abs(total - 1.0) > COMPLETENESS_TOL:
-        raise IncompleteSetError(
-            f"outcome probabilities sum to {total!r}, not 1"
-        )
-    probs = probs / total
-    idx = int(rng.choice(len(probs), p=probs))
-    return MeasurementRecord(
-        outcome=mset.labels[idx],
-        probability=float(probs[idx]),
-        pre_state=state,
-        post_state=post_measurement_state(mset.operators[idx], state),
-    )
+        return cls(operators=ops, labels=tuple(labels))
 
 
 def two_outcome_family(lam0: float, kappa0: float) -> MeasurementSet:

@@ -49,14 +49,10 @@ class ReversingMeasurement:
     eta : float
         The proportionality scale in ``R0 = eta * M^{-1}``; equals
         ``kappa * lam`` at the optimum.
-    source : MeasurementOperator
-        The outcome operator this reversal was built for; the pair satisfies
-        ``matrix @ source.matrix == eta * I``.
     """
 
     matrix: np.ndarray
     eta: float
-    source: MeasurementOperator
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def optimal_reversing(op: MeasurementOperator) -> ReversingMeasurement:
     _check_reversible(canon.lam)
     core = np.diag([canon.lam, 1.0]).astype(complex)
     matrix = dagger(canon.v) @ core @ dagger(canon.u)
-    return ReversingMeasurement(matrix=matrix, eta=canon.kappa * canon.lam, source=op)
+    return ReversingMeasurement(matrix=matrix, eta=canon.kappa * canon.lam)
 
 
 def reversal_success_probability(op: MeasurementOperator, state: PureState) -> float:

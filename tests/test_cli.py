@@ -1,5 +1,6 @@
 """End-to-end command line behavior, including exit codes and goldens."""
 
+import inspect
 import json
 import math
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmtradeoff import cli
+from qmtradeoff import cli, errors
 from qmtradeoff.errors import DegenerateSampleError
 from qmtradeoff.linalg import matrix_to_json
 
@@ -382,6 +383,15 @@ class TestSimulateReversal:
         )
         assert code == 2
 
+    def test_negative_strength_ratio_rejected(self, capsys):
+        """diag(1, -0.5) would canonicalize to lambda = 0.5; the CLI refuses it."""
+        code, out, err = run(
+            capsys, "simulate-reversal", "--lambda", "-0.5", "--theta", "1", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --lambda must lie in (0, 1]")
+
     def test_bad_trials_rejected(self, capsys):
         code, _, _ = run(
             capsys,
@@ -480,6 +490,25 @@ def test_binary_input_is_format_error(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "invalid JSON" in err
+
+
+ERROR_CLASSES = [
+    obj
+    for _, obj in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(obj, Exception) and obj.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("exc", ERROR_CLASSES, ids=lambda e: e.__name__)
+def test_every_package_error_is_usage_error(capsys, monkeypatch, exc):
+    def failing(args):
+        raise exc("rejected")
+
+    monkeypatch.setattr(cli, "cmd_sweep", failing)
+    code, out, err = run(capsys, "sweep")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rejected\n"
 
 
 def test_unknown_command_is_usage_error():

@@ -60,14 +60,6 @@ class TestOptimalReversing:
         np.testing.assert_allclose(rev.matrix, np.eye(2), atol=1e-14)
         assert rev.eta == pytest.approx(1.0, abs=1e-14)
 
-    def test_carries_source_operator(self):
-        op = make_operator(0.7, 0.45, seed=5)
-        rev = optimal_reversing(op)
-        assert rev.source is op
-        np.testing.assert_allclose(
-            rev.matrix @ rev.source.matrix, rev.eta * np.eye(2), atol=1e-12
-        )
-
     def test_eta_saturates_its_bound(self):
         """|eta|^2 can never exceed kappa^2 lam^2 (or R0 would amplify);
         the optimum sits exactly on that bound."""
