@@ -22,7 +22,7 @@ from qmtradeoff import oracle
 SAMPLES = 400_000
 rng = np.random.default_rng(20260819)
 
-print(f"Monte Carlo: {SAMPLES} uniform Bloch-sphere states per estimate.")
+print(f"Monte Carlo: {SAMPLES} uniform Bloch-sphere states per lam, shared by its estimates.")
 print("quadrature: 64-node Gauss-Legendre in cos(theta).\n")
 
 header = "lam    quantity       closed        quad diff   MC z-score"
@@ -31,16 +31,17 @@ print("-" * len(header))
 
 for lam in (0.1, 0.5, 0.9):
     op = MeasurementOperator(np.diag([1.0, lam]))
+    r = oracle.sample_bloch_vectors(rng, SAMPLES)
     rows = [
         ("info", information_gain(lam),
          oracle.quadrature_information(op),
-         oracle.estimate_information(op, SAMPLES, rng)),
+         oracle.estimate_information(op, r)),
         ("fidelity", fidelity_of_operator(op),
          oracle.quadrature_fidelity(op),
-         oracle.estimate_fidelity(op, SAMPLES, rng)),
+         oracle.estimate_fidelity(op, r)),
         ("reversibility", reversibility(lam),
          oracle.quadrature_reversibility(op),
-         oracle.estimate_reversibility(op, SAMPLES, rng)),
+         oracle.estimate_reversibility(op, r)),
     ]
     for name, closed, quad, mc in rows:
         z = (mc.value - closed) / mc.std_error if mc.std_error else float("nan")

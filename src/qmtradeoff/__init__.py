@@ -62,6 +62,7 @@ from .oracle import (
     quadrature_fidelity,
     quadrature_information,
     quadrature_reversibility,
+    sample_bloch_vectors,
 )
 from .reversal import (
     ReversalStats,
@@ -118,6 +119,7 @@ __all__ = [
     "quadrature_reversibility",
     "reversal_success_probability",
     "reversibility",
+    "sample_bloch_vectors",
     "simulate_reversal",
     "su2_params",
     "svd2",

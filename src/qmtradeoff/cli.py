@@ -153,6 +153,8 @@ def cmd_verify(args) -> int:
 
     for lam in grid:
         op = MeasurementOperator(np.diag([1.0, lam]))
+        # One batch of states per lam, shared by the Monte Carlo checks.
+        r = oracle.sample_bloch_vectors(rng, args.samples)
         per_lambda_ok = 0
         per_lambda_run = 0
         skipped_note = ""
@@ -173,7 +175,7 @@ def cmd_verify(args) -> int:
             reference = closed_form(op)
             for est in (
                 quadrature(op, nodes=args.nodes),
-                monte_carlo(op, samples=args.samples, rng=rng),
+                monte_carlo(op, r),
             ):
                 if est.method == "quadrature":
                     bound = args.tolerance

@@ -9,17 +9,25 @@ routes can cross-check each other.
 Conventions shared by both routes:
 
 * both integrate in u = cos θ and phi: Monte Carlo draws u uniform on
-  [-1, 1] and phi uniform on [0, 2 pi), quadrature places its nodes in u.
-  A state enters only through cos²(θ/2) = (1 + u)/2, sin²(θ/2) = (1 - u)/2,
-  cos(θ/2) sin(θ/2) = √(1 - u²)/2 and the real cos phi and sin phi;
+  [-1, 1] and phi uniform on [0, 2 pi), quadrature places its nodes in u. A
+  state enters only through its Bloch vector r = (s cos phi, s sin phi, u),
+  s = √(1 - u²);
+* every integrand is affine in r: writing a 2x2 matrix as a0 I + a . sigma,
+  <psi|a|psi> = a0 + a . r. So q is g0 + g . r with the Pauli coefficients
+  of M†M / kappa^2, and the fidelity amplitude <psi|u D|psi> is b0 + b . r
+  with those of u diag(1, lam); its squared modulus is re² + im²;
+* each Monte Carlo estimator takes a (3, n) batch of Bloch vectors from
+  ``sample_bloch_vectors``. ``verify`` draws one batch per lam and hands
+  it to all three, so their estimates at one lam are correlated, while
+  estimates at different lam stay independent;
 * the information and reversibility integrands depend on the state only
   through the scaled outcome probability q, so their quadratures are
   one-dimensional in u; the fidelity integrand retains a phi dependence
   through the left unitary factor and uses a tensor grid (Gauss-Legendre in
   u times a uniform periodic rule in phi — the integrand is a degree-2
   trigonometric polynomial in phi, integrated exactly by >= 5 points);
-* the Gauss-Legendre rule is built once per node count and shared,
-  read-only, by every later quadrature call with that count;
+* the Gauss-Legendre rule and the fidelity rule's Bloch-vector grid are
+  built once per node count and shared, read-only, by every later call;
 * q is linear in u and, at small lam, vanishes just beyond u = -1 (at
   u ~ -1 - 2 lam^2), where q log q is not analytic. Below lam = 0.05 the
   information quadrature therefore maps the same rule onto subintervals
@@ -72,23 +80,28 @@ class Estimate:
     std_error_jackknife: Optional[float] = None
 
 
-def sample_bloch_angles(rng: np.random.Generator, n: int) -> tuple:
-    """Draw ``n`` uniform Bloch-sphere states, vectorized.
+def _bloch_vectors(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Bloch vectors (s cos phi, s sin phi, u), s = √(1 - u²), along a new first axis."""
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    return np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), u))
 
-    Returns ``(u, phi)`` arrays with u = cos θ uniform on [-1, 1].
-    """
-    if n < 1:
-        raise DomainError(f"sample count must be positive, got {n}")
+
+def sample_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)`` array
+    of Bloch vectors, with u = cos θ uniform on [-1, 1] and phi on [0, 2 pi)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise DomainError(f"need at least 2 samples, got {n!r}")
     u = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return u, phi
+    return _bloch_vectors(u, rng.uniform(0.0, 2.0 * math.pi, size=n))
 
 
-def _bloch_weights(u: np.ndarray) -> tuple:
-    # cos²(θ/2), sin²(θ/2) and cos(θ/2) sin(θ/2) at u = cos θ.
-    c2 = 0.5 * (1.0 + u)
-    s2 = 0.5 * (1.0 - u)
-    return c2, s2, np.sqrt(c2 * s2)
+def _pauli(a: np.ndarray) -> tuple:
+    """Pauli coefficients ``(a0, a)`` of a 2x2 matrix, ``a = a0 I + a . sigma``:
+    ``a0 = tr(a) / 2`` and ``a_k = tr(a sigma_k) / 2``. A pure state with
+    Bloch vector r has ``<psi|a|psi> = a0 + a . r``."""
+    return 0.5 * (a[0, 0] + a[1, 1]), 0.5 * np.array(
+        [a[0, 1] + a[1, 0], 1j * (a[0, 1] - a[1, 0]), a[0, 0] - a[1, 1]]
+    )
 
 
 def _q(lam: float, u: np.ndarray) -> np.ndarray:
@@ -96,25 +109,20 @@ def _q(lam: float, u: np.ndarray) -> np.ndarray:
     return 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
 
 
-def _q_raw(op: MeasurementOperator, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Scaled outcome probability <psi|M†M|psi> / kappa^2 for each state.
-
-    Uses the raw matrix, so any right unitary factor shows up pointwise
-    (its effect must — and does — wash out of uniform averages).
-    """
-    g = op.gram()
-    c2, s2, cs = _bloch_weights(u)
-    cross = 2.0 * cs * (g[0, 1].real * np.cos(phi) - g[0, 1].imag * np.sin(phi))
-    p = c2 * g[0, 0].real + s2 * g[1, 1].real + cross
-    return p / (op.kappa * op.kappa)
+def _outcome_q(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
+    """Scaled outcome probability <psi|M†M|psi> / kappa^2 at Bloch vectors r.
+    Uses the raw matrix, so any right unitary factor shows up pointwise (its
+    effect must — and does — wash out of uniform averages)."""
+    g0, g = _pauli(op.gram() / (op.kappa * op.kappa))
+    return g0.real + g.real @ r
 
 
-def _left_amplitude(op: MeasurementOperator, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """<psi| u D |psi> with the canonical left factor and core D = diag(1, lam)."""
-    b = op.canonical.u * np.array([1.0, op.lam])
-    c2, s2, cs = _bloch_weights(u)
-    off = (b[0, 1] + b[1, 0]) * np.cos(phi) + 1j * (b[0, 1] - b[1, 0]) * np.sin(phi)
-    return c2 * b[0, 0] + s2 * b[1, 1] + cs * off
+def _fidelity_weight(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
+    """``|<psi| u D |psi>|^2`` at Bloch vectors r, with the canonical left
+    factor u and core D = diag(1, lam)."""
+    b0, b = _pauli(op.canonical.u * np.array([1.0, op.lam]))
+    re, im = np.array([b.real, b.imag]) @ r + np.array([[b0.real], [b0.imag]])
+    return re * re + im * im
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -133,13 +141,14 @@ def _jackknife_blocks(n: int) -> tuple:
     return _read_only(starts, n - np.diff(starts, append=n))
 
 
-def _jackknife_se(data: np.ndarray, fn: Callable[..., float]) -> float:
+def _jackknife_se(data: np.ndarray, totals: np.ndarray, fn: Callable[..., float]) -> float:
     """Leave-one-block-out standard error of ``fn`` applied to the row means
-    of ``data``, with the blocks of ``np.array_split``."""
+    of ``data`` (whose row sums are ``totals``), with the blocks of
+    ``np.array_split``."""
     starts, kept = _jackknife_blocks(data.shape[1])
     blocks = starts.size
     block_sums = np.add.reduceat(data, starts, axis=1)
-    estimates = fn(*((data.sum(axis=1, keepdims=True) - block_sums) / kept))
+    estimates = fn(*((totals[:, None] - block_sums) / kept))
     return math.sqrt((blocks - 1) / blocks * float(np.sum((estimates - estimates.mean()) ** 2)))
 
 
@@ -156,7 +165,10 @@ def _ratio_estimate(
     """
     data = np.vstack(columns)
     n = data.shape[1]
-    mean = data.mean(axis=1)
+    if n < 2:
+        raise DomainError(f"need at least 2 samples, got {n}")
+    totals = np.add.reduce(data, axis=1)
+    mean = totals / n
     means = mean.tolist()
     if means[0] <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
@@ -172,27 +184,19 @@ def _ratio_estimate(
         std_error=math.sqrt(max(var, 0.0)),
         samples=n,
         method="monte-carlo",
-        std_error_jackknife=_jackknife_se(data, fn),
+        std_error_jackknife=_jackknife_se(data, totals, fn),
     )
 
 
-def _check_samples(samples: int) -> int:
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples!r}")
-    return int(samples)
+def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
+    """Monte Carlo estimate of the mean information gain, in bits, over the
+    Bloch vectors in the columns of ``r``.
 
-
-def estimate_information(
-    op: MeasurementOperator, samples: int, rng: np.random.Generator
-) -> Estimate:
-    """Monte Carlo estimate of the mean information gain, in bits.
-
-    Averages q and q*log2(q) over sampled states and combines them through
+    Averages q and q*log2(q) over the states and combines them through
     the defining functional ``[avg(q log2 q) - qbar log2 qbar] / qbar``,
     which is invariant under rescaling of q.
     """
-    samples = _check_samples(samples)
-    y = _q_raw(op, *sample_bloch_angles(rng, samples))
+    y = _outcome_q(op, r)
     z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
     return _ratio_estimate(
         (y, z),
@@ -201,39 +205,35 @@ def estimate_information(
     )
 
 
-def estimate_fidelity(
-    op: MeasurementOperator, samples: int, rng: np.random.Generator
-) -> Estimate:
-    """Monte Carlo estimate of the mean fidelity of one outcome.
+def estimate_fidelity(op: MeasurementOperator, r: np.ndarray) -> Estimate:
+    """Monte Carlo estimate of the mean fidelity of one outcome over the
+    Bloch vectors in the columns of ``r``.
 
     Averages ``|<psi| u D |psi>|^2`` against the posterior weight by taking
     the ratio of its sample mean to the sample mean of q. Uses the canonical
     left factor, matching the single-outcome relabeling convention.
     """
-    samples = _check_samples(samples)
-    u, phi = sample_bloch_angles(rng, samples)
-    z = np.abs(_left_amplitude(op, u, phi)) ** 2
     return _ratio_estimate(
-        (_q(op.lam, u), z), lambda ym, zm: zm / ym, lambda ym, zm: (-zm / ym**2, 1.0 / ym)
+        (_q(op.lam, r[2]), _fidelity_weight(op, r)),
+        lambda ym, zm: zm / ym,
+        lambda ym, zm: (-zm / ym**2, 1.0 / ym),
     )
 
 
-def estimate_reversibility(
-    op: MeasurementOperator, samples: int, rng: np.random.Generator
-) -> Estimate:
+def estimate_reversibility(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     """Monte Carlo estimate of the mean reversal success probability,
-    ``lam^2 / (sample average of q)``.
+    ``lam^2 / (average of q)``, over the Bloch vectors in the columns of ``r``.
 
     Raises
     ------
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to estimate.
     """
-    samples = _check_samples(samples)
     _check_reversible(op.lam)
-    y = _q_raw(op, *sample_bloch_angles(rng, samples))
     lam2 = op.lam * op.lam
-    return _ratio_estimate((y,), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,))
+    return _ratio_estimate(
+        (_outcome_q(op, r),), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,)
+    )
 
 
 def _check_nodes(nodes: int) -> int:
@@ -248,10 +248,13 @@ def _gauss_legendre(nodes: int) -> tuple:
     return _read_only(*leggauss(nodes))
 
 
-def _q_on_nodes(lam: float, nodes: int) -> tuple:
-    """Gauss-Legendre nodes u, the canonical q there, and the weights."""
-    u, w = _gauss_legendre(nodes)
-    return u, _q(lam, u), w
+@functools.lru_cache
+def _sphere_grid(nodes: int) -> np.ndarray:
+    """Read-only ``(3, 2 nodes^2)`` Bloch vectors of the fidelity tensor rule:
+    the Gauss-Legendre nodes in u times ``2 * nodes`` uniform points in phi."""
+    u, _ = _gauss_legendre(nodes)
+    phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
+    return _read_only(_bloch_vectors(u[:, None], phi).reshape(3, -1))[0]
 
 
 def _graded_rule(lam: float, nodes: int) -> tuple:
@@ -299,17 +302,11 @@ def quadrature_fidelity(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     uniform points in phi.
     """
     nodes = _check_nodes(nodes)
-    u, q, w = _q_on_nodes(op.lam, nodes)
-    n_phi = 2 * nodes
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    z = np.abs(_left_amplitude(op, u[:, None], phi)) ** 2
-    z_phi_avg = z.mean(axis=1)
-
-    qbar = 0.5 * float(np.sum(w * q))
-    zbar = 0.5 * float(np.sum(w * z_phi_avg))
-    return Estimate(
-        value=zbar / qbar, std_error=0.0, samples=nodes * n_phi, method="quadrature"
-    )
+    u, w = _gauss_legendre(nodes)
+    z = _fidelity_weight(op, _sphere_grid(nodes)).reshape(nodes, -1)
+    qbar = 0.5 * float(np.sum(w * _q(op.lam, u)))
+    zbar = 0.5 * float(np.sum(w * z.mean(axis=1)))
+    return Estimate(value=zbar / qbar, std_error=0.0, samples=z.size, method="quadrature")
 
 
 def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estimate:
@@ -325,8 +322,6 @@ def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estima
     nodes = _check_nodes(nodes)
     lam = op.lam
     _check_reversible(lam)
-    _, q, w = _q_on_nodes(lam, nodes)
-    qbar = 0.5 * float(np.sum(w * q))
-    return Estimate(
-        value=lam * lam / qbar, std_error=0.0, samples=nodes, method="quadrature"
-    )
+    u, w = _gauss_legendre(nodes)
+    qbar = 0.5 * float(np.sum(w * _q(lam, u)))
+    return Estimate(value=lam * lam / qbar, std_error=0.0, samples=nodes, method="quadrature")

@@ -122,7 +122,7 @@ def simulate_reversal(
         If a successful reversal fails to restore the state — that would be
         an internal error, not a statistical fluctuation.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     predicted = reversal_success_probability(op, state)
     successes = int(np.count_nonzero(rng.random(trials) < predicted))

@@ -96,7 +96,7 @@ def test_03_oracle_equivalence():
             (oracle.estimate_fidelity, "fidelity"),
             (oracle.estimate_reversibility, "reversibility"),
         ):
-            est = fn(op, samples=1_000_000, rng=rng)
+            est = fn(op, oracle.sample_bloch_vectors(rng, 1_000_000))
             assert abs(est.value - targets[key]) < 4.0 * est.std_error, (lam, key)
     assert time.perf_counter() - start < 120.0
 
@@ -119,7 +119,7 @@ def test_04_fidelity_bounds():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     op = MeasurementOperator(flip @ np.diag([1.0, 0.5]))
     assert abs(fidelity_of_operator(op) - 1.0 / 3.0) < 1e-12
-    est = oracle.estimate_fidelity(op, samples=1_000_000, rng=rng)
+    est = oracle.estimate_fidelity(op, oracle.sample_bloch_vectors(rng, 1_000_000))
     assert abs(est.value - 1.0 / 3.0) < 4.0 * est.std_error
 
 
@@ -159,12 +159,13 @@ def test_06_unitary_invariance():
         rev_ref = reversibility(lam)
         fid_ref = fidelity_of_operator(MeasurementOperator(base))
 
+        batch = oracle.sample_bloch_vectors
         for est, ref in (
-            (oracle.estimate_information(left, samples=samples, rng=rng), info_ref),
-            (oracle.estimate_reversibility(left, samples=samples, rng=rng), rev_ref),
-            (oracle.estimate_information(right, samples=samples, rng=rng), info_ref),
-            (oracle.estimate_reversibility(right, samples=samples, rng=rng), rev_ref),
-            (oracle.estimate_fidelity(right, samples=samples, rng=rng), fid_ref),
+            (oracle.estimate_information(left, batch(rng, samples)), info_ref),
+            (oracle.estimate_reversibility(left, batch(rng, samples)), rev_ref),
+            (oracle.estimate_information(right, batch(rng, samples)), info_ref),
+            (oracle.estimate_reversibility(right, batch(rng, samples)), rev_ref),
+            (oracle.estimate_fidelity(right, batch(rng, samples)), fid_ref),
         ):
             assert abs(est.value - ref) < 4.0 * est.std_error
 

@@ -277,10 +277,11 @@ class TestRecordsAndTotals:
 
     def test_total_probability_matches_sphere_average(self):
         """kappa^2 qbar really is the sphere-averaged outcome probability."""
-        from qmtradeoff.oracle import sample_bloch_angles
+        from qmtradeoff.oracle import sample_bloch_vectors
 
         op = MeasurementOperator(0.8 * np.diag([1.0, 0.5]))
-        u, phi = sample_bloch_angles(np.random.default_rng(73), 200_000)
+        r = sample_bloch_vectors(np.random.default_rng(73), 200_000)
+        u, phi = r[2], np.arctan2(r[1], r[0])
         probs = [
             outcome_probability(op, PureState(theta=t, phi=f))
             for t, f in zip(np.arccos(u[:20_000]), phi[:20_000])

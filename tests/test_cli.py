@@ -259,7 +259,7 @@ class TestVerify:
         """An estimator whose sample average of q is not positive makes
         verify exit 2 with an error line, not a traceback."""
 
-        def degenerate(op, samples, rng):
+        def degenerate(op, r):
             raise DegenerateSampleError("sample average of q is not positive")
 
         closed_form, quadrature, _ = cli.QUANTITIES["information"]
@@ -268,6 +268,32 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.splitlines()[-1] == "error: sample average of q is not positive"
+
+    def test_one_batch_per_lambda(self, capsys, monkeypatch):
+        """verify draws one batch of states per grid point and hands that
+        same batch to every Monte Carlo check there."""
+        draws, seen = [], []
+        sample = cli.oracle.sample_bloch_vectors
+
+        def counting(rng, n):
+            draws.append(sample(rng, n))
+            return draws[-1]
+
+        monkeypatch.setattr(cli.oracle, "sample_bloch_vectors", counting)
+        for quantity, (closed_form, quadrature, monte_carlo) in cli.QUANTITIES.items():
+            def recording(op, r, monte_carlo=monte_carlo):
+                seen.append(r)
+                return monte_carlo(op, r)
+
+            monkeypatch.setitem(cli.QUANTITIES, quantity, (closed_form, quadrature, recording))
+        argv = ("verify", "--lambda-min", "0", "--lambda-max", "1", "--points", "3",
+                "--samples", "2000", "--seed", "5")
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(draws) == 3
+        # Reversibility is skipped at lambda = 0: 2 + 3 + 3 checks.
+        expected = [draws[0]] * 2 + [draws[1]] * 3 + [draws[2]] * 3
+        assert list(map(id, seen)) == list(map(id, expected))
 
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:

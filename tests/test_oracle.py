@@ -5,27 +5,31 @@ through the formulas being checked, beyond using them as the comparison
 target.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from qmtradeoff import analytics
+from qmtradeoff import analytics, oracle
 from qmtradeoff.errors import DomainError, IrreversibleError
 from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
-from qmtradeoff.measurement import MeasurementOperator
+from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
+    _bloch_vectors,
+    _fidelity_weight,
     _gauss_legendre,
-    _left_amplitude,
-    _q_raw,
+    _outcome_q,
+    _pauli,
     estimate_fidelity,
     estimate_information,
     estimate_reversibility,
     quadrature_fidelity,
     quadrature_information,
     quadrature_reversibility,
-    sample_bloch_angles,
+    sample_bloch_vectors,
 )
 
 
@@ -33,11 +37,21 @@ def diag_op(lam, kappa=1.0):
     return MeasurementOperator(kappa * np.diag([1.0, lam]))
 
 
+def bloch(seed, n):
+    """A batch of ``n`` uniform Bloch vectors from a fresh generator."""
+    return sample_bloch_vectors(np.random.default_rng(seed), n)
+
+
+def polar(r):
+    """u = cos theta and phi in [0, 2 pi) of each Bloch vector."""
+    return r[2], np.mod(np.arctan2(r[1], r[0]), 2.0 * np.pi)
+
+
 class TestSampler:
     def test_cos_theta_uniform(self):
         rng = np.random.default_rng(314)
         n = 200_000
-        u, phi = sample_bloch_angles(rng, n)
+        u, phi = polar(sample_bloch_vectors(rng, n))
         # mean of U(-1, 1) has sd 1/sqrt(3n)
         assert abs(u.mean()) < 3.0 / np.sqrt(3.0 * n)
         assert abs(phi.mean() - np.pi) < 3.0 * np.pi / np.sqrt(3.0 * n)
@@ -47,7 +61,7 @@ class TestSampler:
         """Each z-hemisphere and each phi quadrant should get its share."""
         rng = np.random.default_rng(315)
         n = 80_000
-        u, phi = sample_bloch_angles(rng, n)
+        u, phi = polar(sample_bloch_vectors(rng, n))
         north = np.count_nonzero(u > 0)
         assert abs(north - n / 2) < 3.0 * np.sqrt(n * 0.25)
         for k in range(4):
@@ -61,15 +75,86 @@ class TestSampler:
         uniform sphere measure; its sd is 1/sqrt(12)."""
         rng = np.random.default_rng(317)
         n = 200_000
-        u, _ = sample_bloch_angles(rng, n)
+        u = sample_bloch_vectors(rng, n)[2]
         mean = float(np.mean(0.5 * (1.0 + u)))
         assert abs(mean - 0.5) < 3.0 / np.sqrt(12.0 * n)
 
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
-            sample_bloch_angles(np.random.default_rng(1), 0)
+            sample_bloch_vectors(np.random.default_rng(1), 0)
         with pytest.raises(DomainError):
-            estimate_information(diag_op(0.5), samples=1, rng=np.random.default_rng(1))
+            estimate_information(diag_op(0.5), bloch(1, 1))
+
+    @pytest.mark.parametrize("n", [True, np.True_, 2.0, "2"])
+    def test_sample_count_must_be_an_integer(self, n):
+        with pytest.raises(DomainError):
+            sample_bloch_vectors(np.random.default_rng(1), n)
+
+    def test_unit_vectors_centred(self):
+        """Every column is a unit vector, and each component of a uniform
+        unit vector has mean 0 and variance 1/3."""
+        n = 200_000
+        r = bloch(316, n)
+        assert r.shape == (3, n)
+        assert np.max(np.abs(np.linalg.norm(r, axis=0) - 1.0)) <= 1e-15
+        assert np.all(np.abs(r.mean(axis=1)) < 4.0 / np.sqrt(3.0 * n))
+
+
+def test_oracle_never_imports_analytics():
+    """The oracles must not reach the closed forms they are checked against."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert imported
+    assert not [name for name in imported if "analytics" in name.split(".")]
+
+
+class TestPauliIntegrands:
+    """The affine forms g0 + g . r and |b0 + b . r|^2 against the matrix
+    elements computed from the state's amplitudes."""
+
+    @staticmethod
+    def operators(rng, count):
+        for k in range(count):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if k % 3 == 0:  # a diagonal core behind a random right unitary
+                m = np.diag([1.0, rng.uniform()]) @ su2_matrix(
+                    Su2Params(*rng.uniform(-np.pi, np.pi, 4))
+                )
+            yield MeasurementOperator(m / (1.01 * np.linalg.norm(m, 2)))
+
+    def test_pauli_coefficients_rebuild_the_matrix(self):
+        sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            a0, coef = _pauli(a)
+            rebuilt = a0 * np.eye(2) + np.tensordot(coef, sigma, axes=1)
+            assert np.max(np.abs(rebuilt - a)) < 1e-15
+
+    def test_affine_forms_match_amplitudes(self):
+        rng = np.random.default_rng(41)
+        worst_q = worst_f = 0.0
+        for op in self.operators(rng, 300):
+            assert np.max(np.abs(op.canonical.v - np.eye(2))) > 1e-6
+            core = op.canonical.u * np.array([1.0, op.lam])
+            for _ in range(20):
+                state = PureState(theta=math.acos(rng.uniform(-1.0, 1.0)),
+                                  phi=rng.uniform(0.0, 2.0 * math.pi))
+                t, f = state.theta, state.phi
+                r = np.array([[math.sin(t) * math.cos(f)], [math.sin(t) * math.sin(f)],
+                              [math.cos(t)]])
+                a = state.amplitudes()
+                q = np.vdot(a, op.gram() @ a).real / op.kappa**2
+                fid = abs(np.vdot(a, core @ a)) ** 2
+                worst_q = max(worst_q, abs(_outcome_q(op, r)[0] - q))
+                worst_f = max(worst_f, abs(_fidelity_weight(op, r)[0] - fid))
+        assert worst_q <= 2e-15
+        assert worst_f <= 2e-15
 
 
 class TestIdentityOperator:
@@ -79,13 +164,13 @@ class TestIdentityOperator:
     def test_monte_carlo_degenerates_cleanly(self):
         op = diag_op(1.0)
         rng = np.random.default_rng(0)
-        info = estimate_information(op, samples=1000, rng=rng)
+        info = estimate_information(op, sample_bloch_vectors(rng, 1000))
         assert info.value == pytest.approx(0.0, abs=1e-14)
         assert info.std_error == pytest.approx(0.0, abs=1e-15)
-        fid = estimate_fidelity(op, samples=1000, rng=rng)
+        fid = estimate_fidelity(op, sample_bloch_vectors(rng, 1000))
         assert fid.value == pytest.approx(1.0, abs=1e-15)
         assert fid.std_error == pytest.approx(0.0, abs=1e-15)
-        rev = estimate_reversibility(op, samples=1000, rng=rng)
+        rev = estimate_reversibility(op, sample_bloch_vectors(rng, 1000))
         assert rev.value == pytest.approx(1.0, abs=1e-15)
         assert rev.std_error == pytest.approx(0.0, abs=1e-15)
 
@@ -102,52 +187,44 @@ class TestMonteCarloAgreement:
     @pytest.mark.parametrize("lam", [0.05, 0.5, 0.9])
     def test_information(self, lam):
         op = diag_op(lam)
-        est = estimate_information(op, samples=self.SAMPLES, rng=np.random.default_rng(101))
+        est = estimate_information(op, bloch(101, self.SAMPLES))
         assert est.std_error > 0.0
         assert abs(est.value - analytics.information_gain(lam)) < 4.0 * est.std_error
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 0.9])
     def test_fidelity(self, lam):
         op = diag_op(lam)
-        est = estimate_fidelity(op, samples=self.SAMPLES, rng=np.random.default_rng(102))
+        est = estimate_fidelity(op, bloch(102, self.SAMPLES))
         ref = analytics.fidelity_of_operator(op)
         assert abs(est.value - ref) < 4.0 * est.std_error
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 0.9])
     def test_reversibility(self, lam):
         op = diag_op(lam)
-        est = estimate_reversibility(op, samples=self.SAMPLES, rng=np.random.default_rng(103))
+        est = estimate_reversibility(op, bloch(103, self.SAMPLES))
         assert abs(est.value - analytics.reversibility(lam)) < 4.0 * est.std_error
 
     def test_overall_scale_drops_out(self):
         """A weaker operator with the same strength ratio must estimate the
         same quantities (only acceptance odds change, and those normalize
         away)."""
-        full = estimate_information(
-            diag_op(0.5), samples=50_000, rng=np.random.default_rng(104)
-        )
-        weak = estimate_information(
-            diag_op(0.5, kappa=0.3), samples=50_000, rng=np.random.default_rng(104)
-        )
+        full = estimate_information(diag_op(0.5), bloch(104, 50_000))
+        weak = estimate_information(diag_op(0.5, kappa=0.3), bloch(104, 50_000))
         assert weak.value == pytest.approx(full.value, abs=1e-12)
 
     def test_jackknife_tracks_delta_method(self):
-        est = estimate_information(
-            diag_op(0.4), samples=100_000, rng=np.random.default_rng(105)
-        )
+        est = estimate_information(diag_op(0.4), bloch(105, 100_000))
         assert est.std_error_jackknife is not None
         ratio = est.std_error_jackknife / est.std_error
         assert 0.8 < ratio < 1.25
 
     def test_deterministic_given_seed(self):
-        a = estimate_fidelity(diag_op(0.6), samples=10_000, rng=np.random.default_rng(9))
-        b = estimate_fidelity(diag_op(0.6), samples=10_000, rng=np.random.default_rng(9))
+        a = estimate_fidelity(diag_op(0.6), bloch(9, 10_000))
+        b = estimate_fidelity(diag_op(0.6), bloch(9, 10_000))
         assert a == b
 
     def test_metadata(self):
-        est = estimate_reversibility(
-            diag_op(0.5), samples=5_000, rng=np.random.default_rng(10)
-        )
+        est = estimate_reversibility(diag_op(0.5), bloch(10, 5_000))
         assert est.samples == 5_000
         assert est.method == "monte-carlo"
 
@@ -155,13 +232,10 @@ class TestMonteCarloAgreement:
         """Rotating the outputs cannot change what was learned."""
         rng = np.random.default_rng(107)
         w = su2_matrix(Su2Params(*rng.uniform(-np.pi, np.pi, 4)))
-        plain = estimate_information(
-            diag_op(0.5), samples=self.SAMPLES, rng=np.random.default_rng(108)
-        )
+        plain = estimate_information(diag_op(0.5), bloch(108, self.SAMPLES))
         rotated = estimate_information(
             MeasurementOperator(w @ np.diag([1.0, 0.5])),
-            samples=self.SAMPLES,
-            rng=np.random.default_rng(109),
+            bloch(109, self.SAMPLES),
         )
         band = 4.0 * np.hypot(plain.std_error, rotated.std_error)
         assert abs(plain.value - rotated.value) < band
@@ -171,8 +245,7 @@ class TestMonteCarloAgreement:
         w = su2_matrix(Su2Params(*rng.uniform(-np.pi, np.pi, 4)))
         est = estimate_reversibility(
             MeasurementOperator(w @ np.diag([1.0, 0.9])),
-            samples=self.SAMPLES,
-            rng=np.random.default_rng(111),
+            bloch(111, self.SAMPLES),
         )
         assert abs(est.value - 1.62 / 1.81) < 4.0 * est.std_error
 
@@ -181,14 +254,12 @@ class TestMonteCarloAgreement:
         to the random-guess value 1/3 regardless of strength."""
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         op = MeasurementOperator(x @ np.diag([1.0, 0.5]))
-        est = estimate_fidelity(op, samples=self.SAMPLES, rng=np.random.default_rng(112))
+        est = estimate_fidelity(op, bloch(112, self.SAMPLES))
         assert abs(est.value - 1.0 / 3.0) < 4.0 * est.std_error
 
     def test_singular_operator_rejected(self):
         with pytest.raises(IrreversibleError):
-            estimate_reversibility(
-                diag_op(0.0), samples=1000, rng=np.random.default_rng(8)
-            )
+            estimate_reversibility(diag_op(0.0), bloch(8, 1000))
 
 
 def loop_jackknife(columns, fn, blocks=100):
@@ -214,15 +285,15 @@ class TestJackknife:
 
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_information_matches_loop(self, n):
-        est = estimate_information(self.OP, samples=n, rng=np.random.default_rng(n))
-        y = _q_raw(self.OP, *sample_bloch_angles(np.random.default_rng(n), n))
+        est = estimate_information(self.OP, bloch(n, n))
+        y = _outcome_q(self.OP, bloch(n, n))
         expected = loop_jackknife((y, y * np.log2(y)), lambda ym, zm: zm / ym - np.log2(ym))
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_reversibility_matches_loop(self, n):
-        est = estimate_reversibility(self.OP, samples=n, rng=np.random.default_rng(n))
-        y = _q_raw(self.OP, *sample_bloch_angles(np.random.default_rng(n), n))
+        est = estimate_reversibility(self.OP, bloch(n, n))
+        y = _outcome_q(self.OP, bloch(n, n))
         lam2 = self.OP.lam**2
         expected = loop_jackknife((y,), lambda ym: lam2 / ym)
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
@@ -232,14 +303,14 @@ class TestJackknife:
         """The covariance is formed without np.cov, by its own arithmetic;
         std_error must equal sqrt(g . np.cov(data) . g / n) bit for bit."""
         op, lam2 = self.OP, self.OP.lam * self.OP.lam
-        u, phi = sample_bloch_angles(np.random.default_rng(n), n)
-        y = _q_raw(op, u, phi)
+        r = bloch(n, n)
+        u, y = r[2], _outcome_q(op, r)
         z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
         q = 0.5 * ((1.0 + lam2) + u * (1.0 - lam2))
         cases = [
             (estimate_information, (y, z),
              lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym)),
-            (estimate_fidelity, (q, np.abs(_left_amplitude(op, u, phi)) ** 2),
+            (estimate_fidelity, (q, _fidelity_weight(op, r)),
              lambda ym, zm: (-zm / ym**2, 1.0 / ym)),
             (estimate_reversibility, (y,), lambda ym: (-lam2 / ym**2,)),
         ]
@@ -247,13 +318,13 @@ class TestJackknife:
             data = np.vstack(columns)
             g = np.array(grad(*(float(np.mean(row)) for row in data)))
             expected = math.sqrt(float(g @ np.atleast_2d(np.cov(data)) @ g) / n)
-            est = estimator(op, samples=n, rng=np.random.default_rng(n))
+            est = estimator(op, bloch(n, n))
             assert est.std_error == expected, estimator.__name__
 
     @pytest.mark.parametrize("n", [2000, 57])
     def test_estimates_are_python_floats(self, n):
         for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
-            est = estimator(self.OP, samples=n, rng=np.random.default_rng(n))
+            est = estimator(self.OP, bloch(n, n))
             assert type(est.value) is float
             assert type(est.std_error) is float
             assert type(est.std_error_jackknife) is float
@@ -357,7 +428,8 @@ class TestNodeCache:
         qbar = 0.5 * float(np.sum(w * q))
         qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
         phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
-        z = np.abs(_left_amplitude(self.OP, u[:, None], phi)) ** 2
+        z = _fidelity_weight(self.OP, _bloch_vectors(u[:, None], phi).reshape(3, -1))
+        z = z.reshape(nodes, -1)
         zbar = 0.5 * float(np.sum(w * z.mean(axis=1)))
         return qlog / qbar - math.log2(qbar), zbar / qbar, lam * lam / qbar
 

@@ -172,3 +172,10 @@ class TestSimulateReversal:
             simulate_reversal(op, state, 0, np.random.default_rng(1))
         with pytest.raises(DomainError):
             simulate_reversal(op, state, -5, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("trials", [True, np.True_])
+    def test_bool_trials_rejected(self, trials):
+        """``bool`` is an ``int``, but ``True`` is not a trial count."""
+        op = make_operator(1.0, 0.5)
+        with pytest.raises(DomainError):
+            simulate_reversal(op, PureState(theta=0.5), trials, np.random.default_rng(1))
