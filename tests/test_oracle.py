@@ -83,7 +83,7 @@ class TestSampler:
         with pytest.raises(DomainError):
             sample_bloch_vectors(np.random.default_rng(1), 0)
         with pytest.raises(DomainError):
-            estimate_information(diag_op(0.5), bloch(1, 1))
+            estimate_information(diag_op(0.5), bloch(1, 2)[:, :1])
 
     @pytest.mark.parametrize("n", [True, np.True_, 2.0, "2"])
     def test_sample_count_must_be_an_integer(self, n):
