@@ -1,9 +1,10 @@
 """Closed-form linear algebra for 2x2 complex matrices.
 
 Everything a single-qubit measurement operator needs: a canonical singular
-value factorization ``m = kappa * u @ diag(1, lam) @ v`` computed without
-iterative solvers, an angle parameterization of 2x2 unitaries, and a plain
-JSON encoding for complex matrices.
+value factorization ``m = kappa * u @ diag(1, lam) @ v``, an angle
+parameterization of 2x2 unitaries with a pinned branch of ``alpha``, and a
+plain JSON encoding for complex matrices. The first two are closed forms,
+evaluated on the four entries as Python scalars without iterative solvers.
 
 The factorization convention puts the largest singular value into the scale
 ``kappa`` so the diagonal core is ``diag(1, lam)`` with ``lam`` in [0, 1].
@@ -67,10 +68,12 @@ class Su2Params:
                         [exp(-i delta) sin(gamma), exp(-i beta) cos(gamma)]]
 
     with ``gamma`` in [0, pi/2]. ``alpha`` is the argument of the principal
-    square root of the determinant, so it lies in (-pi/2, pi/2]; the residual
-    sign ambiguity (alpha -> alpha + pi flips beta and delta by pi) is left
-    as is rather than normalized away, because only cos(2 beta) and
-    cos(gamma)^2 ever enter downstream formulas.
+    square root of the determinant, so it lies in (-pi/2, pi/2]. A
+    determinant on the negative real axis, up to a relative imaginary part
+    of ``GAUGE_TIE_TOL``, is pinned to alpha = +pi/2, so its rounding cannot
+    flip alpha, beta and delta by pi. That sign ambiguity (alpha -> alpha +
+    pi flips beta and delta by pi) is otherwise left as is, because only
+    cos(2 beta) and cos(gamma)^2 ever enter downstream formulas.
     """
 
     alpha: float
@@ -84,7 +87,7 @@ def as_matrix2(m) -> np.ndarray:
     arr = np.array(m, dtype=complex)
     if arr.shape != (2, 2):
         raise FormatError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not all(map(math.isfinite, arr.view(float).ravel().tolist())):
         raise FormatError("matrix entries must be finite")
     return arr
 
@@ -94,9 +97,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def _perp(vec: np.ndarray) -> np.ndarray:
-    # Orthonormal complement of a unit vector (p, q) -> (-conj(q), conj(p)).
-    return np.array([-np.conj(vec[1]), np.conj(vec[0])])
+def _norm(p, q) -> float:
+    # Euclidean norm of the 2-vector (p, q) of real or complex scalars.
+    return math.hypot(p.real, p.imag, q.real, q.imag)
 
 
 def _kappa(sigma1: float, e: int) -> float:
@@ -163,59 +166,57 @@ def svd2(m) -> Svd2Result:
       entry, so rounding the input, e.g. by scaling it, cannot move it.
     """
     m = as_matrix2(m)
-    e = math.frexp(max(map(abs, m.flat)))[1]
-    m = np.ldexp(m.view(float), -e).view(complex)
-    h = dagger(m) @ m
-    a = h[0, 0].real
-    c = h[1, 1].real
-    b = h[0, 1]
+    flat = m.ravel().tolist()
+    e = math.frexp(max(map(abs, flat)))[1]
+    m00, m01, m10, m11 = (complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in flat)
+    # h = m† m = [[a, b], [conj(b), c]].
+    a = _norm(m00, m10) ** 2
+    c = _norm(m01, m11) ** 2
+    b = m00.conjugate() * m01 + m10.conjugate() * m11
     disc = math.hypot(0.5 * (a - c), abs(b))
     eig1 = 0.5 * (a + c) + disc
 
     # Candidate eigenvectors for eig1 from the two rows of (h - eig1 I).
-    w1 = np.array([b, eig1 - a])
-    w2 = np.array([eig1 - c, np.conj(b)])
-    n1 = float(np.linalg.norm(w1))
-    n2 = float(np.linalg.norm(w2))
+    n1 = _norm(b, eig1 - a)
+    n2 = _norm(eig1 - c, b)
 
     if max(n1, n2) <= DEGENERACY_TOL * (a + c):
         # sigma1 == sigma2 (h proportional to I): any right basis works.
-        sigma1 = float(np.linalg.norm(m[:, 0]))
+        sigma1 = _norm(m00, m10)
         kappa = _kappa(sigma1, e)
-        sigma2 = float(np.linalg.norm(m[:, 1]))
+        sigma2 = _norm(m01, m11)
         return Svd2Result(
             kappa=kappa,
             lam=min(sigma2 / sigma1, 1.0),
-            u=m / sigma1,
+            u=np.array([[m00 / sigma1, m01 / sigma1], [m10 / sigma1, m11 / sigma1]]),
             v=np.eye(2, dtype=complex),
         )
 
-    v1 = w1 / n1 if n1 >= n2 else w2 / n2
-    v2 = _perp(v1)
+    v1 = (b / n1, (eig1 - a) / n1) if n1 >= n2 else ((eig1 - c) / n2, b.conjugate() / n2)
+    v2 = (-v1[1].conjugate(), v1[0].conjugate())  # orthonormal complement
 
-    mv1 = m @ v1
-    sigma1 = float(np.linalg.norm(mv1))
+    mv1 = (m00 * v1[0] + m01 * v1[1], m10 * v1[0] + m11 * v1[1])
+    sigma1 = _norm(*mv1)
     kappa = _kappa(sigma1, e)
-    u1 = mv1 / sigma1
+    u1 = (mv1[0] / sigma1, mv1[1] / sigma1)
 
-    mv2 = m @ v2
-    sigma2 = float(np.linalg.norm(mv2))
+    mv2 = (m00 * v2[0] + m01 * v2[1], m10 * v2[0] + m11 * v2[1])
+    sigma2 = _norm(*mv2)
     lam = min(sigma2 / sigma1, 1.0)
 
-    u2 = _perp(u1)
-    z = complex(u2.conj() @ mv2)
+    u2 = (-u1[1].conjugate(), u1[0].conjugate())
+    z = u2[0].conjugate() * mv2[0] + u2[1].conjugate() * mv2[1]
     if abs(z) > 0.0:
-        u2 = u2 * (z / abs(z))
-
-    u = np.column_stack([u1, u2])
-    v = np.vstack([v1.conj(), v2.conj()])
+        z /= abs(z)
+        u2 = (u2[0] * z, u2[1] * z)
 
     # Deterministic phase gauge; keeps u_i v_i† (hence the product) unchanged.
-    for i in range(2):
-        j = int(abs(u[1, i]) > abs(u[0, i]) * (1.0 + GAUGE_TIE_TOL))
-        phase = u[j, i] / abs(u[j, i])
-        u[:, i] *= np.conj(phase)
-        v[i, :] *= phase
+    u, v = np.empty((2, 2), dtype=complex), np.empty((2, 2), dtype=complex)
+    for i, ((p, q), (s, t)) in enumerate(((u1, v1), (u2, v2))):
+        g = q if abs(q) > abs(p) * (1.0 + GAUGE_TIE_TOL) else p
+        phase = g / abs(g)
+        u[:, i] = p * phase.conjugate(), q * phase.conjugate()
+        v[i] = s.conjugate() * phase, t.conjugate() * phase
 
     return Svd2Result(kappa=kappa, lam=lam, u=u, v=v)
 
@@ -235,20 +236,24 @@ def su2_params(u) -> Su2Params:
         1e-12 for inputs unitary at machine precision. ``beta`` is set to 0
         when cos(gamma) vanishes, ``delta`` to 0 when sin(gamma) vanishes.
     """
-    u = as_matrix2(u)
-    dev = float(np.max(np.abs(u @ dagger(u) - np.eye(2))))
+    u00, u01, u10, u11 = as_matrix2(u).ravel().tolist()
+    # Entrywise max |u u† - I|; the two off-diagonal entries share a modulus.
+    off = u00 * u10.conjugate() + u01 * u11.conjugate()
+    dev = max(abs(_norm(u00, u01) ** 2 - 1.0), abs(_norm(u10, u11) ** 2 - 1.0), abs(off))
     if dev > UNITARITY_TOL:
         raise NotUnitaryError(
             f"matrix deviates from unitarity by {dev:.3e} > {UNITARITY_TOL:.3e}"
         )
 
-    det = np.linalg.det(u)
+    det = u00 * u11 - u01 * u10
     alpha = 0.5 * math.atan2(det.imag, det.real)
-    w = u * np.exp(-1j * alpha)
-    # In exact arithmetic w[1,1] = conj(w[0,0]) and w[0,1] = -conj(w[1,0]);
+    if det.real < 0.0 and abs(det.imag) <= GAUGE_TIE_TOL * abs(det):
+        alpha = 0.5 * math.pi  # whatever the sign of the rounded det.imag
+    rot = complex(math.cos(alpha), -math.sin(alpha))
+    # In exact arithmetic w11 = conj(w00) and w01 = -conj(w10) for w = u * rot;
     # averaging the two copies costs nothing and absorbs rounding noise.
-    za = 0.5 * (w[0, 0] + np.conj(w[1, 1]))
-    zb = 0.5 * (w[1, 0] - np.conj(w[0, 1]))
+    za = 0.5 * (u00 * rot + (u11 * rot).conjugate())
+    zb = 0.5 * (u10 * rot - (u01 * rot).conjugate())
     gamma = math.atan2(abs(zb), abs(za))
     beta = math.atan2(za.imag, za.real) if abs(za) > 1e-15 else 0.0
     delta = -math.atan2(zb.imag, zb.real) if abs(zb) > 1e-15 else 0.0

@@ -91,12 +91,14 @@ def test_03_oracle_equivalence():
             abs(oracle.quadrature_reversibility(op).value - targets["reversibility"])
             < 1e-8
         )
+        # One batch of states per lam, shared by the three estimators.
+        r = oracle.sample_bloch_vectors(rng, 1_000_000)
         for fn, key in (
             (oracle.estimate_information, "info"),
             (oracle.estimate_fidelity, "fidelity"),
             (oracle.estimate_reversibility, "reversibility"),
         ):
-            est = fn(op, oracle.sample_bloch_vectors(rng, 1_000_000))
+            est = fn(op, r)
             assert abs(est.value - targets[key]) < 4.0 * est.std_error, (lam, key)
     assert time.perf_counter() - start < 120.0
 

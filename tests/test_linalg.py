@@ -1,5 +1,7 @@
 """Factorization, parameterization, and serialization of 2x2 operators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,11 @@ from hypothesis import strategies as st
 
 from qmtradeoff.errors import FormatError, NotUnitaryError, ZeroOperatorError
 from qmtradeoff.linalg import (
+    DEGENERACY_TOL,
+    GAUGE_TIE_TOL,
+    ZERO_OPERATOR_TOL,
     Su2Params,
+    as_matrix2,
     dagger,
     matrix_from_json,
     matrix_to_json,
@@ -139,6 +145,152 @@ class TestSvd2:
         np.testing.assert_allclose(dagger(r.u) @ r.u, np.eye(2), atol=1e-13)
 
 
+def svd2_reference(m):
+    """The NumPy formulation of :func:`svd2`: the same algorithm and guards
+    on 2x2 ndarrays, with ``@``, ``np.linalg.norm``, ``column_stack`` and
+    ``vstack`` in place of scalar arithmetic. Returns (kappa, lam, u, v)."""
+    m = as_matrix2(m)
+    e = math.frexp(max(map(abs, m.flat)))[1]
+    m = np.ldexp(m.view(float), -e).view(complex)
+    h = dagger(m) @ m
+    a, c, b = h[0, 0].real, h[1, 1].real, h[0, 1]
+    disc = math.hypot(0.5 * (a - c), abs(b))
+    eig1 = 0.5 * (a + c) + disc
+    w1 = np.array([b, eig1 - a])
+    w2 = np.array([eig1 - c, np.conj(b)])
+    n1, n2 = float(np.linalg.norm(w1)), float(np.linalg.norm(w2))
+    if max(n1, n2) <= DEGENERACY_TOL * (a + c):
+        sigma1 = float(np.linalg.norm(m[:, 0]))
+        sigma2 = float(np.linalg.norm(m[:, 1]))
+        return math.ldexp(sigma1, e), min(sigma2 / sigma1, 1.0), m / sigma1, np.eye(2)
+
+    def perp(vec):
+        return np.array([-np.conj(vec[1]), np.conj(vec[0])])
+
+    v1 = w1 / n1 if n1 >= n2 else w2 / n2
+    v2 = perp(v1)
+    mv1, mv2 = m @ v1, m @ v2
+    sigma1, sigma2 = float(np.linalg.norm(mv1)), float(np.linalg.norm(mv2))
+    u1 = mv1 / sigma1
+    u2 = perp(u1)
+    z = complex(u2.conj() @ mv2)
+    if abs(z) > 0.0:
+        u2 = u2 * (z / abs(z))
+    u = np.column_stack([u1, u2])
+    v = np.vstack([v1.conj(), v2.conj()])
+    for i in range(2):
+        j = int(abs(u[1, i]) > abs(u[0, i]) * (1.0 + GAUGE_TIE_TOL))
+        phase = u[j, i] / abs(u[j, i])
+        u[:, i] *= np.conj(phase)
+        v[i, :] *= phase
+    return math.ldexp(sigma1, e), min(sigma2 / sigma1, 1.0), u, v
+
+
+def su2_params_reference(u):
+    """The NumPy formulation of :func:`su2_params` (``np.linalg.det`` and
+    array arithmetic), with the same pin of alpha to +pi/2 on the negative
+    real axis."""
+    u = as_matrix2(u)
+    assert np.max(np.abs(u @ dagger(u) - np.eye(2))) <= 1e-10
+    det = np.linalg.det(u)
+    if det.real < 0.0 and abs(det.imag) <= GAUGE_TIE_TOL * abs(det):
+        alpha = 0.5 * np.pi
+    else:
+        alpha = 0.5 * math.atan2(det.imag, det.real)
+    w = u * np.exp(-1j * alpha)
+    za = 0.5 * (w[0, 0] + np.conj(w[1, 1]))
+    zb = 0.5 * (w[1, 0] - np.conj(w[0, 1]))
+    gamma = math.atan2(abs(zb), abs(za))
+    beta = math.atan2(za.imag, za.real) if abs(za) > 1e-15 else 0.0
+    delta = -math.atan2(zb.imag, zb.real) if abs(zb) > 1e-15 else 0.0
+    return Su2Params(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+
+
+def haar_unitary(rng):
+    q, r = np.linalg.qr(random_matrix(rng))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reference_inputs(kind, rng):
+    """Ten 2x2 matrices of one kind for the kernel-versus-reference tests."""
+    out = []
+    for _ in range(10):
+        w, x = haar_unitary(rng), haar_unitary(rng)
+        if kind == "haar":
+            m = w @ np.diag([1.0, rng.uniform(0.0, 1.0)]) @ x
+        elif kind == "gaussian":
+            m = random_matrix(rng)
+        elif kind == "rank-one":
+            m = np.outer(w[:, 0], x[0, :].conj())
+        elif kind == "near-degenerate":
+            m = w @ np.diag([1.0, 1.0 - 1e-13]) @ x
+        elif kind == "degenerate":
+            m = rng.uniform(0.1, 10.0) * w
+        elif kind == "power-of-two":
+            m = 2.0 ** rng.integers(-40, 900) * random_matrix(rng)
+        elif kind == "1e+150":
+            m = 1e150 * random_matrix(rng)
+        elif kind == "1e-150":  # numerically zero: both must reject it
+            m = 1e-150 * random_matrix(rng)
+        else:  # the benchmark's operator recipe: an outcome and its partner
+            g = random_matrix(rng)
+            m = g / np.linalg.norm(g, 2) * rng.uniform(0.2, 1.0)
+            evals, vecs = np.linalg.eigh(np.eye(2) - dagger(m) @ m)
+            out.append(w @ (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ dagger(vecs))
+        out.append(m)
+    return out
+
+
+def same_angle(a, b, tol):
+    """a and b agree as angles, i.e. modulo 2 pi."""
+    return abs(math.remainder(a - b, 2.0 * math.pi)) <= tol
+
+
+class TestScalarKernels:
+    """svd2 and su2_params against their NumPy formulations. The scalar
+    kernels round differently, so the bounds are set from the dtype:
+    kappa to 1e-15 relative, lam to 1e-15 absolute, each angle to 1e-12,
+    and the reconstruction to the 1e-12 every factorization must meet; u
+    and v to 1e-12 where the singular values are 1e-4 apart and away from
+    zero, as in test_svd2_power_of_two_scale_keeps_factors_property."""
+
+    KINDS = ["haar", "gaussian", "rank-one", "near-degenerate", "degenerate",
+             "power-of-two", "1e+150", "1e-150", "operators"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_svd2_matches_reference(self, kind):
+        rng = np.random.default_rng(1000 + self.KINDS.index(kind))
+        for m in reference_inputs(kind, rng):
+            kappa, lam, u, v = svd2_reference(m)
+            if kappa < ZERO_OPERATOR_TOL:
+                with pytest.raises(ZeroOperatorError):
+                    svd2(m)
+                continue
+            r = svd2(m)
+            assert abs(r.kappa - kappa) <= 1e-15 * kappa
+            assert abs(r.lam - lam) <= 1e-15
+            if 1e-4 < lam < 1.0 - 1e-4:  # u and v move by about eps / gap
+                np.testing.assert_allclose(r.u, u, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(r.v, v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(recompose(r), m, rtol=0, atol=1e-12 * np.abs(m).max())
+            for f in (r.u, r.v):
+                np.testing.assert_allclose(dagger(f) @ f, np.eye(2), rtol=0, atol=1e-12)
+                assert f.dtype == complex and f.shape == (2, 2)
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "1e-150"])
+    def test_su2_params_matches_reference(self, kind):
+        rng = np.random.default_rng(2000 + self.KINDS.index(kind))
+        for m in reference_inputs(kind, rng):
+            r = svd2(m)
+            for w in (r.u, r.v @ r.u, svd2_reference(m)[2]):
+                p, q = su2_params(w), su2_params_reference(w)
+                assert abs(p.alpha - q.alpha) <= 1e-12
+                assert abs(p.gamma - q.gamma) <= 1e-12
+                assert same_angle(p.beta, q.beta, 1e-12)
+                assert same_angle(p.delta, q.delta, 1e-12)
+                np.testing.assert_allclose(su2_matrix(p), w, rtol=0, atol=1e-12)
+
+
 class TestSu2:
     def test_identity(self):
         p = su2_params(np.eye(2))
@@ -178,6 +330,27 @@ class TestSu2:
         for _ in range(50):
             q, _ = np.linalg.qr(random_matrix(rng))
             np.testing.assert_allclose(su2_matrix(su2_params(q)), q, atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_alpha_pinned_on_negative_real_determinant(self, sign):
+        """det = -1 up to a rounding-sized imaginary part of either sign
+        gives alpha = +pi/2, not -pi/2 for one of the two."""
+        u = X * np.exp(sign * 1e-17j)
+        p = su2_params(u)
+        assert p.alpha == np.pi / 2
+        np.testing.assert_allclose(su2_matrix(p), u, rtol=0, atol=1e-12)
+
+    def test_alpha_ignores_last_bit_of_input(self):
+        """About half of all canonical left unitaries have det(u) on the
+        negative real axis; changing the operator by an ulp must not move
+        their alpha by pi."""
+        rng = np.random.default_rng(57)
+        for _ in range(200):
+            m = random_matrix(rng)
+            a = su2_params(svd2(m).u)
+            b = su2_params(svd2(m * (1.0 + 2.0**-52)).u)
+            assert abs(a.alpha - b.alpha) <= 1e-12
+            assert -np.pi / 2 < a.alpha <= np.pi / 2
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
