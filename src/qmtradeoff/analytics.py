@@ -63,6 +63,8 @@ _INFO_SMALL_LAM = 1e-9
 
 
 def _check_lam(lam: float) -> float:
+    if type(lam) is float and 0.0 <= lam <= 1.0:  # NaN fails the comparison
+        return lam
     if isinstance(lam, np.ndarray) and lam.ndim == 0 and lam.dtype.kind in "iuf":
         lam = lam.item()
     if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
@@ -235,6 +237,16 @@ def tradeoff_record(lam: float) -> TradeoffRecord:
     )
 
 
+def _matmul(x: np.ndarray, y: np.ndarray) -> list:
+    # The 2x2 product x @ y as nested lists of Python complex.
+    x00, x01, x10, x11 = x.ravel().tolist()
+    y00, y01, y10, y11 = y.ravel().tolist()
+    return [
+        [x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
+        [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11],
+    ]
+
+
 @dataclass(frozen=True)
 class AveragedQuantities:
     """Outcome-averaged tradeoff quantities of a complete measurement set."""
@@ -270,11 +282,11 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
         p = outcome_probability_total(op.kappa, op.lam)
         probs.append(p)
         info += p * information_gain(canon.lam)
-        ang = su2_params(canon.v @ canon.u)
+        ang = su2_params(_matmul(canon.v, canon.u))
         fid += p * fidelity_closed(canon.lam, ang.beta, ang.gamma)
         rev_weighted += p * reversibility(canon.lam)
         rev_direct += (canon.kappa * canon.lam) ** 2
-    total = float(np.sum(probs))
+    total = sum(probs)
     if abs(total - 1.0) > 1e-10:
         raise IncompleteSetError(
             f"outcome probabilities sum to {total!r}, not 1"

@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
         ("gamma", ang.gamma),
         ("delta", ang.delta),
         ("info", rec.info),
-        ("fidelity", analytics.fidelity_of_operator(op)),
+        ("fidelity", analytics.fidelity_closed(canon.lam, ang.beta, ang.gamma)),
         ("fidelity_opt", rec.fidelity_opt),
         ("reversibility", rec.reversibility),
         ("eff_fidelity", rec.eff_fidelity),

@@ -10,6 +10,7 @@ ratio ``lam``, and the unitary factors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,8 +59,12 @@ class PureState:
 
     def amplitudes(self) -> np.ndarray:
         """Complex amplitude pair, unit norm within 1e-14."""
+        return np.array(self._pair())
+
+    def _pair(self) -> tuple:
+        # The amplitudes as a (float, complex) pair of Python scalars.
         half = 0.5 * self.theta
-        return np.array([math.cos(half), np.exp(1j * self.phi) * math.sin(half)])
+        return math.cos(half), cmath.rect(math.sin(half), self.phi)
 
     @classmethod
     def from_amplitudes(cls, vec) -> "PureState":
@@ -67,22 +72,23 @@ class PureState:
         arr = np.asarray(vec, dtype=complex).reshape(-1)
         if arr.shape != (2,):
             raise FormatError("amplitude vector must have exactly 2 components")
-        norm = float(np.linalg.norm(arr))
+        a0, a1 = arr.tolist()
+        norm = math.hypot(a0.real, a0.imag, a1.real, a1.imag)
         if norm < 1e-14:
             raise DomainError("cannot normalize a zero state vector")
-        arr = arr / norm
-        theta = 2.0 * math.atan2(abs(arr[1]), abs(arr[0]))
+        a0, a1 = a0 / norm, a1 / norm
+        theta = 2.0 * math.atan2(abs(a1), abs(a0))
         phi = 0.0
-        if abs(arr[1]) > 1e-15:
-            phi = math.atan2(arr[1].imag, arr[1].real)
-            if abs(arr[0]) > 1e-15:
-                phi -= math.atan2(arr[0].imag, arr[0].real)
+        if abs(a1) > 1e-15:
+            phi = math.atan2(a1.imag, a1.real)
+            if abs(a0) > 1e-15:
+                phi -= math.atan2(a0.imag, a0.real)
         return cls(theta=theta, phi=phi)
 
     def overlap(self, other: "PureState") -> float:
         """|<self|other>|, in [0, 1]."""
-        val = abs(np.vdot(self.amplitudes(), other.amplitudes()))
-        return min(val, 1.0)
+        (a0, a1), (b0, b1) = self._pair(), other._pair()
+        return min(abs(a0 * b0 + a1.conjugate() * b1), 1.0)
 
 
 class MeasurementOperator:
@@ -151,17 +157,33 @@ def _clamp_probability(p: float) -> float:
     return p
 
 
+def _apply(m: np.ndarray, x0, x1) -> tuple:
+    # The 2x2 matrix m times the column (x0, x1), on Python scalars.
+    m00, m01, m10, m11 = m.ravel().tolist()
+    return m00 * x0 + m01 * x1, m10 * x0 + m11 * x1
+
+
 def outcome_probability(op: MeasurementOperator, state: PureState) -> float:
-    """Probability ``<psi| M† M |psi>`` of obtaining this outcome."""
-    amp = state.amplitudes()
-    p = float(np.real(np.vdot(amp, op.gram() @ amp)))
-    return _clamp_probability(p)
+    """Probability ``<psi| M† M |psi>`` of obtaining this outcome.
+
+    Evaluated as ``|M psi|^2``, whose rounding stays relative to the
+    probability itself rather than to the entries of ``M† M``.
+    """
+    w0, w1 = _apply(op.matrix, *state._pair())
+    return _clamp_probability(abs(w0) ** 2 + abs(w1) ** 2)
 
 
 def check_completeness(operators: Sequence[MeasurementOperator]) -> float:
     """Largest entrywise deviation of ``sum_m M† M`` from the identity."""
-    total = sum(op.gram() for op in operators)
-    return float(np.max(np.abs(total - np.eye(2))))
+    # sum M† M = [[a, b], [conj(b), c]], accumulated entrywise.
+    a = c = 0.0
+    b = 0j
+    for op in operators:
+        m00, m01, m10, m11 = op.matrix.ravel().tolist()
+        a += (m00.conjugate() * m00 + m10.conjugate() * m10).real
+        c += (m01.conjugate() * m01 + m11.conjugate() * m11).real
+        b += m00.conjugate() * m01 + m10.conjugate() * m11
+    return max(abs(a - 1.0), abs(c - 1.0), abs(b))
 
 
 @dataclass(frozen=True)

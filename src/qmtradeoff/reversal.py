@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IrreversibleError, ZeroProbabilityError
-from .linalg import dagger
-from .measurement import MeasurementOperator, PureState, outcome_probability
+from .measurement import MeasurementOperator, PureState, _apply, outcome_probability
 
 #: Strength ratios below this are treated as exactly singular (irreversible).
 REVERSIBLE_LAM_TOL = 1e-14
@@ -76,10 +75,18 @@ def optimal_reversing(op: MeasurementOperator) -> ReversingMeasurement:
         amplitude and nothing can restore it.
     """
     canon = op.canonical
-    _check_reversible(canon.lam)
-    core = np.diag([canon.lam, 1.0]).astype(complex)
-    matrix = dagger(canon.v) @ core @ dagger(canon.u)
-    return ReversingMeasurement(matrix=matrix, eta=canon.kappa * canon.lam)
+    lam = canon.lam
+    _check_reversible(lam)
+    u00, u01, u10, u11 = canon.u.ravel().tolist()
+    v00, v01, v10, v11 = canon.v.ravel().tolist()
+    # R0 = v† diag(lam, 1) u† is the conjugate of v^T diag(lam, 1) u^T.
+    matrix = np.array(
+        [
+            [lam * v00 * u00 + v10 * u01, lam * v00 * u10 + v10 * u11],
+            [lam * v01 * u00 + v11 * u01, lam * v01 * u10 + v11 * u11],
+        ]
+    ).conj()
+    return ReversingMeasurement(matrix=matrix, eta=canon.kappa * lam)
 
 
 def reversal_success_probability(op: MeasurementOperator, state: PureState) -> float:
@@ -131,8 +138,8 @@ def simulate_reversal(
     if successes:
         # The post-selected chain is deterministic: every successful trial
         # produces the same recovered state, so one overlap serves them all.
-        post = op.matrix @ state.amplitudes()
-        recovered = optimal_reversing(op).matrix @ post
+        post = _apply(op.matrix, *state._pair())
+        recovered = _apply(optimal_reversing(op).matrix, *post)
         recovered_state = PureState.from_amplitudes(recovered)
         recovered_min = state.overlap(recovered_state)
         if recovered_min < 1.0 - RECOVERY_OVERLAP_TOL:

@@ -129,6 +129,25 @@ class TestLambdaTypes:
         with pytest.raises(DomainError):
             closed_form(lam)
 
+    @pytest.mark.parametrize(
+        "lam",
+        [float("nan"), float("inf"), float("-inf"), -1e-300, 1.0 + 2.0**-52,
+         np.float64("nan"), True],
+        ids=repr,
+    )
+    def test_float_fast_path_falls_through(self, closed_form, lam):
+        """A plain float in [0, 1] skips _check_lam's type checks; nothing
+        else does, so every other value still meets them."""
+        with pytest.raises(DomainError):
+            closed_form(lam)
+
+    def test_float_fast_path_returns_its_input(self, closed_form):
+        for lam in (0.0, 5e-324, 0.5, 1.0):
+            assert analytics._check_lam(lam) is lam
+        lam = analytics._check_lam(np.float64(0.25))
+        assert type(lam) is float and lam == 0.25
+        assert closed_form(np.float64(0.25)) == closed_form(0.25)
+
 
 class TestFidelity:
     def test_frozen_reference_values(self):

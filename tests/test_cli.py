@@ -146,6 +146,24 @@ class TestAnalyze:
         assert a["fidelity"] != b["fidelity"]
         assert float(a["fidelity"]) == pytest.approx(11.0 / 30.0, abs=1e-11)
 
+    def test_left_unitary_factored_once(self, capsys, monkeypatch, tmp_path):
+        """analyze prints the fidelity from the angles it already printed."""
+        calls = []
+
+        def counting(u, su2_params=cli.su2_params):
+            calls.append(u)
+            return su2_params(u)
+
+        monkeypatch.setattr(cli, "su2_params", counting)
+        monkeypatch.setattr(cli.analytics, "su2_params", counting)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        for m in (np.diag([1.0, 0.5]), h @ np.diag([1.0, 0.5])):
+            calls.clear()
+            code, out, _ = run(capsys, "analyze", write_matrix(tmp_path / "m.json", m))
+            assert code == 0
+            assert len(calls) == 1
+        assert float(parsed_keyvals(out)["fidelity"]) == pytest.approx(11.0 / 30.0, abs=1e-11)
+
     def test_identity_operator(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "eye.json", np.eye(2))
         code, out, _ = run(capsys, "analyze", path)

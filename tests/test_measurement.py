@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmtradeoff.errors import DomainError, IncompleteSetError, InvalidStrengthError
+from qmtradeoff.errors import DomainError, FormatError, IncompleteSetError, InvalidStrengthError
 from qmtradeoff.measurement import (
     MeasurementOperator,
     MeasurementSet,
     PureState,
+    _clamp_probability,
     check_completeness,
     outcome_probability,
     two_outcome_family,
@@ -182,6 +183,167 @@ class TestMeasurementSet:
         assert clone.labels == mset.labels
         for a, b in zip(clone.operators, mset.operators):
             np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def check_completeness_reference(operators):
+    """The NumPy formulation of :func:`check_completeness`: the summed Gram
+    matrices against ``np.eye(2)``."""
+    total = sum(op.gram() for op in operators)
+    return float(np.max(np.abs(total - np.eye(2))))
+
+
+def outcome_probability_reference(op, state):
+    """The NumPy formulation of :func:`outcome_probability`:
+    ``<psi| M† M |psi>`` through the Gram matrix, with the same clamp."""
+    amp = state.amplitudes()
+    return _clamp_probability(float(np.real(np.vdot(amp, op.gram() @ amp))))
+
+
+def from_amplitudes_reference(vec):
+    """The NumPy formulation of :meth:`PureState.from_amplitudes`, with the
+    same guards (``np.linalg.norm`` and array division)."""
+    arr = np.asarray(vec, dtype=complex).reshape(-1)
+    if arr.shape != (2,):
+        raise FormatError("amplitude vector must have exactly 2 components")
+    norm = float(np.linalg.norm(arr))
+    if norm < 1e-14:
+        raise DomainError("cannot normalize a zero state vector")
+    arr = arr / norm
+    theta = 2.0 * math.atan2(abs(arr[1]), abs(arr[0]))
+    phi = 0.0
+    if abs(arr[1]) > 1e-15:
+        phi = math.atan2(arr[1].imag, arr[1].real)
+        if abs(arr[0]) > 1e-15:
+            phi -= math.atan2(arr[0].imag, arr[0].real)
+    return PureState(theta=theta, phi=phi)
+
+
+def haar_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng):
+    return PureState(theta=math.acos(rng.uniform(-1.0, 1.0)), phi=rng.uniform(0.0, 2.0 * math.pi))
+
+
+def completed_pair(m, rng):
+    """m and a completing partner W sqrt(I - m† m), W Haar-random."""
+    evals, vecs = np.linalg.eigh(np.eye(2) - m.conj().T @ m)
+    return m, haar_unitary(rng) @ (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+
+
+def reference_sets(kind, rng):
+    """Ten (outcome, partner) matrix pairs of one kind."""
+    out = []
+    for _ in range(10):
+        w, x, kappa = haar_unitary(rng), haar_unitary(rng), rng.uniform(0.2, 1.0)
+        if kind == "operators":  # the benchmark's recipe
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = g / np.linalg.norm(g, 2) * kappa
+        elif kind == "lambda=0":
+            m = kappa * w @ np.diag([1.0, 0.0]) @ x
+        elif kind == "lambda=1":
+            m = kappa * w
+        else:  # "power-of-two": the recipe scaled by 2^-k, so incomplete
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = g / np.linalg.norm(g, 2) * 2.0 ** -int(rng.integers(1, 40))
+        out.append(completed_pair(m, rng))
+    return out
+
+
+class TestScalarBodies:
+    """The scalar bodies of check_completeness, outcome_probability and
+    from_amplitudes against their NumPy formulations above. Both round
+    differently, so the bounds are set from the dtype: the completeness
+    deviation and every probability (all at most 2 in modulus) to 1e-15
+    absolute, about 4 ulps; theta to 2e-15, about 4 ulps of pi; phi to 4e-15
+    modulo 2 pi, about 4 ulps of 2 pi."""
+
+    KINDS = ["operators", "lambda=0", "lambda=1", "power-of-two"]
+    POLES = [PureState(theta=0.0, phi=1.0), PureState(theta=math.pi, phi=5.0)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_completeness_matches_reference(self, kind):
+        rng = np.random.default_rng(3000 + self.KINDS.index(kind))
+        for pair in reference_sets(kind, rng):
+            for ops in ([MeasurementOperator(pair[0])], [MeasurementOperator(m) for m in pair]):
+                dev = check_completeness(ops)
+                assert isinstance(dev, float)
+                assert abs(dev - check_completeness_reference(ops)) <= 1e-15
+
+    def test_completeness_keeps_incomplete_set_error(self):
+        half = MeasurementOperator(np.diag([1.0, 0.5]))
+        assert check_completeness([half]) == check_completeness_reference([half]) == 0.75
+        with pytest.raises(IncompleteSetError, match="deviates from identity by 7.500e-01"):
+            MeasurementSet(operators=(half,))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_probability_matches_reference(self, kind):
+        rng = np.random.default_rng(3100 + self.KINDS.index(kind))
+        for pair in reference_sets(kind, rng):
+            for m in pair:
+                op = MeasurementOperator(m)
+                for state in [random_state(rng), *self.POLES]:
+                    p, ref = outcome_probability(op, state), outcome_probability_reference(op, state)
+                    assert 0.0 <= p <= 1.0
+                    assert abs(p - ref) <= 1e-15
+
+    def test_orthogonal_state_has_probability_zero(self):
+        rng = np.random.default_rng(3200)
+        for _ in range(10):
+            w = haar_unitary(rng)
+            # w diag(1, 0) w† annihilates the state w[:, 1] up to its rounding.
+            op = MeasurementOperator(w @ np.diag([1.0, 0.0]) @ w.conj().T)
+            state = PureState.from_amplitudes(w[:, 1])
+            assert outcome_probability(op, state) <= 1e-15
+            assert outcome_probability_reference(op, state) <= 1e-15
+        exact = MeasurementOperator(np.diag([0.0, 1.0]))
+        assert outcome_probability(exact, PureState(theta=0.0, phi=0.7)) == 0.0
+
+    @pytest.mark.parametrize("scale", ["unit", "power-of-two", "gaussian"])
+    def test_from_amplitudes_matches_reference(self, scale):
+        rng = np.random.default_rng(3300 + len(scale))
+        vecs = [np.array([1.0, 0.0]), np.array([0.0, 1j]), np.array([1e-300, 1.0])]
+        for _ in range(50):
+            a0, a1 = random_state(rng).amplitudes()
+            vec = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * np.array([a0, a1])
+            if scale == "power-of-two":  # kept below 2^500, where the reference overflows
+                vec = 2.0 ** int(rng.integers(-40, 500)) * vec
+            elif scale == "gaussian":
+                vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+            vecs.append(vec)
+        for vec in vecs:
+            s, ref = PureState.from_amplitudes(vec), from_amplitudes_reference(vec)
+            assert abs(s.theta - ref.theta) <= 2e-15
+            assert abs(math.remainder(s.phi - ref.phi, 2.0 * math.pi)) <= 4e-15
+            assert abs(s.overlap(ref) - abs(np.vdot(s.amplitudes(), ref.amplitudes()))) <= 1e-15
+
+    def test_from_amplitudes_is_scale_invariant(self):
+        """hypot does not overflow, so any power-of-two scale, even past
+        the range of the squares, gives the same state bit for bit."""
+        rng = np.random.default_rng(3400)
+        for _ in range(20):
+            vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+            s = PureState.from_amplitudes(vec)
+            for k in (-40, 600, 1000):
+                assert PureState.from_amplitudes(2.0 ** k * vec) == s
+
+    @pytest.mark.parametrize(
+        "vec, error",
+        [
+            (np.zeros(2), DomainError),
+            (1e-150 * np.array([0.6, 0.8j]), DomainError),
+            (np.ones(3), FormatError),
+            (np.eye(2), FormatError),
+        ],
+        ids=["zero", "1e-150", "3-vector", "2x2"],
+    )
+    def test_from_amplitudes_keeps_its_errors(self, vec, error):
+        for build in (PureState.from_amplitudes, from_amplitudes_reference):
+            with pytest.raises(error):
+                build(vec)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qmtradeoff.errors import DomainError, IrreversibleError
-from qmtradeoff.linalg import Su2Params, su2_matrix
+from qmtradeoff import reversal
+from qmtradeoff.errors import DomainError, IrreversibleError, ZeroProbabilityError
+from qmtradeoff.linalg import Su2Params, dagger, su2_matrix
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.reversal import (
+    REVERSIBLE_LAM_TOL,
     ReversingMeasurement,
     optimal_reversing,
     reversal_success_probability,
@@ -23,6 +25,85 @@ def make_operator(kappa, lam, seed=None):
     w1 = su2_matrix(Su2Params(*rng.uniform(-math.pi, math.pi, 4)))
     w2 = su2_matrix(Su2Params(*rng.uniform(-math.pi, math.pi, 4)))
     return MeasurementOperator(kappa * (w1 @ np.diag([1.0, lam]) @ w2))
+
+
+def optimal_reversing_reference(op):
+    """The NumPy formulation of :func:`optimal_reversing`'s matrix:
+    ``v† @ diag(lam, 1) @ u†`` as array products, with the same guard."""
+    canon = op.canonical
+    if canon.lam < REVERSIBLE_LAM_TOL:
+        raise IrreversibleError("operator has a zero singular value")
+    core = np.diag([canon.lam, 1.0]).astype(complex)
+    return dagger(canon.v) @ core @ dagger(canon.u)
+
+
+def reference_operators(kind, rng):
+    """Twenty operators of one kind for the scalar-versus-reference test."""
+    out = []
+    for _ in range(20):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        kappa = rng.uniform(0.2, 1.0)
+        if kind == "operators":  # the benchmark's recipe
+            m = g / np.linalg.norm(g, 2) * kappa
+        elif kind == "power-of-two":
+            m = g / np.linalg.norm(g, 2) * 2.0 ** -int(rng.integers(1, 40))
+        else:
+            lam = {"lambda=1": 1.0, "lambda=1e-13": 1e-13, "lambda=0": 0.0}[kind]
+            m = make_operator(kappa, lam, seed=int(rng.integers(1, 10**9))).matrix
+        out.append(MeasurementOperator(m))
+    return out
+
+
+class TestScalarReversing:
+    """optimal_reversing's entrywise R0 against the NumPy product. R0 has
+    operator norm 1, so every entry is bounded by 1 and the bound is 1e-15
+    absolute, about 4 ulps."""
+
+    KINDS = ["operators", "power-of-two", "lambda=1", "lambda=1e-13", "lambda=0"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference(self, kind):
+        rng = np.random.default_rng(4000 + self.KINDS.index(kind))
+        for op in reference_operators(kind, rng):
+            if kind == "lambda=0":
+                for build in (optimal_reversing, optimal_reversing_reference):
+                    with pytest.raises(IrreversibleError):
+                        build(op)
+                continue
+            rev = optimal_reversing(op)
+            assert rev.matrix.dtype == complex and rev.matrix.shape == (2, 2)
+            assert rev.eta == op.kappa * op.lam
+            np.testing.assert_allclose(
+                rev.matrix, optimal_reversing_reference(op), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-8])
+    def test_weak_direction_reverses_with_certainty(self, lam):
+        """A state along the weak right-singular vector is reversed with
+        probability 1. Its outcome probability kappa^2 lam^2 is far below
+        the rounding of M† M's entries, so it must come from |M psi|^2."""
+        rng = np.random.default_rng(4100)
+        for _ in range(20):
+            op = make_operator(rng.uniform(0.2, 1.0), lam, seed=int(rng.integers(1, 10**9)))
+            weak = PureState.from_amplitudes(op.canonical.v[1].conj())
+            assert reversal_success_probability(op, weak) == pytest.approx(1.0, abs=1e-6)
+
+    def test_zero_probability_rejected(self, monkeypatch):
+        monkeypatch.setattr(reversal, "outcome_probability", lambda op, state: 0.0)
+        with pytest.raises(ZeroProbabilityError, match="zero probability on this state"):
+            reversal_success_probability(make_operator(1.0, 0.5), PureState(theta=0.5))
+
+    def test_failed_recovery_raises(self, monkeypatch):
+        """Negative control of the recovery check: an R0 with its diag(lam, 1)
+        swapped does not restore the state, and simulate_reversal says so."""
+        op = make_operator(0.9, 0.4, seed=5)
+        canon = op.canonical
+        swapped = dagger(canon.v) @ np.diag([1.0, canon.lam]) @ dagger(canon.u)
+        monkeypatch.setattr(
+            reversal, "optimal_reversing", lambda op: ReversingMeasurement(swapped, 0.36)
+        )
+        with pytest.raises(ArithmeticError, match="successful reversal left overlap"):
+            simulate_reversal(op, PureState(theta=1.2, phi=0.3), 100, np.random.default_rng(2))
 
 
 class TestOptimalReversing:
