@@ -195,6 +195,8 @@ def cmd_verify(args) -> int:
                         "passed": ok,
                     }
                 )
+                if est.std_error_jackknife is not None:
+                    checks[-1]["std_error_jackknife"] = est.std_error_jackknife
                 per_lambda_ok += ok
                 per_lambda_run += 1
         print(

@@ -12,6 +12,7 @@ The factorization convention puts the largest singular value into the scale
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -82,13 +83,21 @@ class Su2Params:
     delta: float
 
 
+def _entries(m) -> list:
+    """Row-major entries of a 2x2 matrix as Python complex; checks shape and finiteness."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.shape != (2, 2):
+        raise FormatError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    flat = arr.ravel().tolist()
+    if not all(map(cmath.isfinite, flat)):
+        raise FormatError("matrix entries must be finite")
+    return flat
+
+
 def as_matrix2(m) -> np.ndarray:
     """Coerce input to a 2x2 complex ndarray (copy), validating the shape."""
     arr = np.array(m, dtype=complex)
-    if arr.shape != (2, 2):
-        raise FormatError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.view(float).ravel().tolist())):
-        raise FormatError("matrix entries must be finite")
+    _entries(arr)
     return arr
 
 
@@ -165,8 +174,7 @@ def svd2(m) -> Svd2Result:
       margin keeps a modulus tie (such as a Hadamard column) on the first
       entry, so rounding the input, e.g. by scaling it, cannot move it.
     """
-    m = as_matrix2(m)
-    flat = m.ravel().tolist()
+    flat = _entries(m)
     e = math.frexp(max(map(abs, flat)))[1]
     m00, m01, m10, m11 = (complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in flat)
     # h = m† m = [[a, b], [conj(b), c]].
@@ -236,7 +244,7 @@ def su2_params(u) -> Su2Params:
         1e-12 for inputs unitary at machine precision. ``beta`` is set to 0
         when cos(gamma) vanishes, ``delta`` to 0 when sin(gamma) vanishes.
     """
-    u00, u01, u10, u11 = as_matrix2(u).ravel().tolist()
+    u00, u01, u10, u11 = _entries(u)
     # Entrywise max |u u† - I|; the two off-diagonal entries share a modulus.
     off = u00 * u10.conjugate() + u01 * u11.conjugate()
     dev = max(abs(_norm(u00, u01) ** 2 - 1.0), abs(_norm(u10, u11) ** 2 - 1.0), abs(off))
@@ -301,6 +309,5 @@ def matrix_from_json(payload) -> np.ndarray:
             ):
                 raise FormatError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
             out[i, j] = complex(entry[0], entry[1])
-    if not np.all(np.isfinite(out.view(float))):
-        raise FormatError("matrix entries must be finite")
+    _entries(out)
     return out

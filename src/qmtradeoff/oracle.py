@@ -23,11 +23,11 @@ Conventions shared by both routes:
 * the information and reversibility integrands depend on the state only
   through the scaled outcome probability q, so their quadratures are
   one-dimensional in u; the fidelity integrand retains a phi dependence
-  through the left unitary factor and uses a tensor grid (Gauss-Legendre in
+  through the left unitary factor and uses a tensor rule (Gauss-Legendre in
   u times a uniform periodic rule in phi — the integrand is a degree-2
   trigonometric polynomial in phi, integrated exactly by >= 5 points);
-* the Gauss-Legendre rule and the fidelity rule's Bloch-vector grid are
-  built once per node count and shared, read-only, by every later call;
+* the Gauss-Legendre rule and the tensor rule's moments of (1, r), all that
+  polynomial integrands need, are built once per node count and shared;
 * q is linear in u and, at small lam, vanishes just beyond u = -1 (at
   u ~ -1 - 2 lam^2), where q log q is not analytic. Below lam = 0.05 the
   information quadrature therefore maps the same rule onto subintervals
@@ -80,28 +80,26 @@ class Estimate:
     std_error_jackknife: Optional[float] = None
 
 
-def _bloch_vectors(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Bloch vectors (s cos phi, s sin phi, u), s = √(1 - u²), along a new first axis."""
-    s = np.sqrt((1.0 - u) * (1.0 + u))
-    return np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), u))
-
-
 def sample_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)`` array
     of Bloch vectors, with u = cos θ uniform on [-1, 1] and phi on [0, 2 pi)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"need at least 2 samples, got {n!r}")
+    r = np.empty((3, n))
     u = rng.uniform(-1.0, 1.0, size=n)
-    return _bloch_vectors(u, rng.uniform(0.0, 2.0 * math.pi, size=n))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    s = np.sqrt(np.multiply(1.0 - u, 1.0 + u, out=r[2]), out=r[2])
+    np.multiply(np.cos(phi, out=r[0]), s, out=r[0])
+    np.multiply(np.sin(phi, out=r[1]), s, out=r[1])
+    r[2] = u
+    return r
 
 
-def _pauli(a: np.ndarray) -> tuple:
-    """Pauli coefficients ``(a0, a)`` of a 2x2 matrix, ``a = a0 I + a . sigma``:
-    ``a0 = tr(a) / 2`` and ``a_k = tr(a sigma_k) / 2``. A pure state with
-    Bloch vector r has ``<psi|a|psi> = a0 + a . r``."""
-    return 0.5 * (a[0, 0] + a[1, 1]), 0.5 * np.array(
-        [a[0, 1] + a[1, 0], 1j * (a[0, 1] - a[1, 0]), a[0, 0] - a[1, 1]]
-    )
+def _pauli(a) -> tuple:
+    """Pauli coefficients ``(a0, (a1, a2, a3))`` of the 2x2 matrix with rows ``a``,
+    ``a_k = tr(a sigma_k) / 2`` (sigma_0 = I); then ``<psi|a|psi> = a0 + a . r``."""
+    (a00, a01), (a10, a11) = a
+    return 0.5 * (a00 + a11), (0.5 * (a01 + a10), 0.5j * (a01 - a10), 0.5 * (a00 - a11))
 
 
 def _q(lam: float, u: np.ndarray) -> np.ndarray:
@@ -113,15 +111,19 @@ def _outcome_q(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
     """Scaled outcome probability <psi|M†M|psi> / kappa^2 at Bloch vectors r.
     Uses the raw matrix, so any right unitary factor shows up pointwise (its
     effect must — and does — wash out of uniform averages)."""
-    g0, g = _pauli(op.gram() / (op.kappa * op.kappa))
-    return g0.real + g.real @ r
+    g0, g = _pauli((op.gram() / (op.kappa * op.kappa)).tolist())
+    return g0.real + np.array([x.real for x in g]) @ r
+
+
+def _amplitude_pauli(op: MeasurementOperator) -> tuple:
+    """Pauli coefficients of u D: canonical left factor u, core D = diag(1, lam)."""
+    return _pauli((op.canonical.u * [1.0, op.lam]).tolist())
 
 
 def _fidelity_weight(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
-    """``|<psi| u D |psi>|^2`` at Bloch vectors r, with the canonical left
-    factor u and core D = diag(1, lam)."""
-    b0, b = _pauli(op.canonical.u * np.array([1.0, op.lam]))
-    re, im = np.array([b.real, b.imag]) @ r + np.array([[b0.real], [b0.imag]])
+    """``|<psi| u D |psi>|^2`` at Bloch vectors r."""
+    b0, b = _amplitude_pauli(op)
+    re, im = np.array([[x.real for x in b], [x.imag for x in b]]) @ r + [[b0.real], [b0.imag]]
     return re * re + im * im
 
 
@@ -149,7 +151,8 @@ def _jackknife_se(data: np.ndarray, totals: np.ndarray, fn: Callable[..., float]
     blocks = starts.size
     block_sums = np.add.reduceat(data, starts, axis=1)
     estimates = fn(*((totals[:, None] - block_sums) / kept))
-    return math.sqrt((blocks - 1) / blocks * float(np.sum((estimates - estimates.mean()) ** 2)))
+    estimates -= np.add.reduce(estimates) / blocks
+    return math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
 
 
 def _ratio_estimate(
@@ -163,7 +166,7 @@ def _ratio_estimate(
     standard error is reported alongside it. ``fn`` must also accept arrays
     of means, one entry per jackknife block.
     """
-    data = np.vstack(columns)
+    data = np.array(columns)
     n = data.shape[1]
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
@@ -249,12 +252,15 @@ def _gauss_legendre(nodes: int) -> tuple:
 
 
 @functools.lru_cache
-def _sphere_grid(nodes: int) -> np.ndarray:
-    """Read-only ``(3, 2 nodes^2)`` Bloch vectors of the fidelity tensor rule:
-    the Gauss-Legendre nodes in u times ``2 * nodes`` uniform points in phi."""
-    u, _ = _gauss_legendre(nodes)
-    phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
-    return _read_only(_bloch_vectors(u[:, None], phi).reshape(3, -1))[0]
+def _moments(nodes: int) -> tuple:
+    """Second moments M of x = (1, r) under the fidelity tensor rule, a symmetric
+    4x4 tuple of floats: x = f(u) h(phi), so each is a u sum times a phi mean."""
+    u, w = _gauss_legendre(nodes)
+    phi = np.arange(2 * nodes) * (math.pi / nodes)
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    f, h = np.array([u**0, s, s, u]), np.array([phi**0, np.cos(phi), np.sin(phi), phi**0])
+    m = np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)
+    return tuple(map(tuple, m.tolist()))
 
 
 def _graded_rule(lam: float, nodes: int) -> tuple:
@@ -299,20 +305,21 @@ def quadrature_fidelity(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     """Deterministic evaluation of the mean-fidelity average.
 
     Tensor rule: ``nodes`` Gauss-Legendre points in u times ``2 * nodes``
-    uniform points in phi.
+    uniform points in phi, summed as Re(c† M c) over the rule's moments M.
     """
     nodes = _check_nodes(nodes)
-    u, w = _gauss_legendre(nodes)
-    z = _fidelity_weight(op, _sphere_grid(nodes)).reshape(nodes, -1)
-    qbar = 0.5 * float(np.sum(w * _q(op.lam, u)))
-    zbar = 0.5 * float(np.sum(w * z.mean(axis=1)))
-    return Estimate(value=zbar / qbar, std_error=0.0, samples=z.size, method="quadrature")
+    m = _moments(nodes)
+    b0, b = _amplitude_pauli(op)
+    c = (b0,) + b
+    zbar = sum((x.conjugate() * sum(a * y for a, y in zip(row, c))).real for x, row in zip(c, m))
+    value = zbar / _q(op.lam, m[0][3])
+    return Estimate(value=value, std_error=0.0, samples=2 * nodes * nodes, method="quadrature")
 
 
 def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     """Deterministic evaluation of the mean reversal success probability,
     ``lam^2 / qbar`` with qbar integrated exactly (the integrand is linear
-    in u).
+    in u) from the rule's first moment in u.
 
     Raises
     ------
@@ -322,6 +329,5 @@ def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estima
     nodes = _check_nodes(nodes)
     lam = op.lam
     _check_reversible(lam)
-    u, w = _gauss_legendre(nodes)
-    qbar = 0.5 * float(np.sum(w * _q(lam, u)))
+    qbar = _q(lam, _moments(nodes)[0][3])
     return Estimate(value=lam * lam / qbar, std_error=0.0, samples=nodes, method="quadrature")

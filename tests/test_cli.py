@@ -232,6 +232,27 @@ class TestVerify:
         assert methods == {"quadrature", "monte-carlo"}
         assert "PASS" in err
 
+    def test_monte_carlo_rows_report_jackknife(self, capsys):
+        """Each Monte Carlo row carries its estimate's jackknife standard
+        error under one added key; quadrature rows keep their keys."""
+        _, out, _ = run(capsys, *self.ARGS)
+        rows = json.loads(out)["checks"]
+        keys = ["lambda", "quantity", "method", "value", "reference", "error", "bound", "passed"]
+        rng = np.random.default_rng(20260819)
+        for lam in (0.25, 0.5, 0.75):
+            op = cli.MeasurementOperator(np.diag([1.0, lam]))
+            r = cli.oracle.sample_bloch_vectors(rng, 20000)
+            for quantity, (_, _, monte_carlo) in cli.QUANTITIES.items():
+                est = monte_carlo(op, r)
+                quad, mc = rows.pop(0), rows.pop(0)
+                assert list(quad) == keys
+                assert list(mc) == keys + ["std_error_jackknife"]
+                assert (mc["quantity"], mc["method"]) == (quantity, "monte-carlo")
+                assert mc["value"] == est.value
+                assert mc["bound"] == max(4.0 * est.std_error, 1e-12)
+                assert mc["std_error_jackknife"] == est.std_error_jackknife > 0.0
+        assert rows == []
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, *self.ARGS)
         _, second, _ = run(capsys, *self.ARGS)

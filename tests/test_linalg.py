@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmtradeoff import linalg, measurement
 from qmtradeoff.errors import FormatError, NotUnitaryError, ZeroOperatorError
 from qmtradeoff.linalg import (
     DEGENERACY_TOL,
@@ -21,6 +22,7 @@ from qmtradeoff.linalg import (
     su2_params,
     svd2,
 )
+from qmtradeoff.measurement import MeasurementOperator
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -378,6 +380,51 @@ class TestAlgebraHelpers:
             assert np.trace(dagger(m) @ m).real == pytest.approx(
                 np.sum(np.abs(m) ** 2), rel=1e-13
             )
+
+
+class TestEntries:
+    """svd2 and su2_params read the four entries without copying the input,
+    and keep the shape and finiteness errors of as_matrix2."""
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.ones(3), "expected a 2x2 matrix, got shape (3,)"),
+            (np.ones((2, 3)), "expected a 2x2 matrix, got shape (2, 3)"),
+            ([[1.0, 0.0]], "expected a 2x2 matrix, got shape (1, 2)"),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
+            (np.array([[1.0, 0.0], [complex(0.0, -np.inf), 1.0]]), "matrix entries must be finite"),
+        ],
+    )
+    def test_keep_input_errors(self, m, message):
+        for fn in (as_matrix2, svd2, su2_params, MeasurementOperator):
+            with pytest.raises(FormatError) as exc:
+                fn(m)
+            assert str(exc.value) == message, fn.__name__
+
+    def test_operator_copies_its_input_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return as_matrix2(m)
+
+        monkeypatch.setattr(linalg, "as_matrix2", counting)
+        monkeypatch.setattr(measurement, "as_matrix2", counting)
+        op = MeasurementOperator(HADAMARD_COLUMNS @ np.diag([0.9, 0.3]))
+        su2_params(op.canonical.u)
+        su2_params(op.canonical.v)
+        assert len(calls) == 1
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(68)
+        m = random_matrix(rng)
+        for view in (m.T, np.hstack((m, m))[:, ::2], m.real):
+            r, s = svd2(view), svd2(np.array(view, dtype=complex))
+            assert (r.kappa, r.lam) == (s.kappa, s.lam)
+            np.testing.assert_array_equal(r.u, s.u)
+        w = svd2(m).u
+        assert su2_params(w.T) == su2_params(np.array(w.T))
 
 
 class TestJson:

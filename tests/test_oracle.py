@@ -18,9 +18,10 @@ from qmtradeoff.errors import DomainError, IrreversibleError
 from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
-    _bloch_vectors,
+    _amplitude_pauli,
     _fidelity_weight,
     _gauss_legendre,
+    _moments,
     _outcome_q,
     _pauli,
     estimate_fidelity,
@@ -45,6 +46,14 @@ def bloch(seed, n):
 def polar(r):
     """u = cos theta and phi in [0, 2 pi) of each Bloch vector."""
     return r[2], np.mod(np.arctan2(r[1], r[0]), 2.0 * np.pi)
+
+
+def bloch_vectors_reference(u, phi):
+    """Bloch vectors (s cos phi, s sin phi, u), s = √(1 - u²), along a new
+    first axis: the stacked NumPy form that ``sample_bloch_vectors`` writes
+    into one buffer instead."""
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    return np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), u))
 
 
 class TestSampler:
@@ -89,6 +98,15 @@ class TestSampler:
     def test_sample_count_must_be_an_integer(self, n):
         with pytest.raises(DomainError):
             sample_bloch_vectors(np.random.default_rng(1), n)
+
+    @pytest.mark.parametrize("n", [2, 3, 2000, 100_000])
+    def test_matches_reference_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        u = rng.uniform(-1.0, 1.0, size=n)
+        expected = bloch_vectors_reference(u, rng.uniform(0.0, 2.0 * np.pi, size=n))
+        got = sample_bloch_vectors(np.random.default_rng(n), n)
+        assert got.shape == expected.shape == (3, n)
+        assert got.tobytes() == expected.tobytes()
 
     def test_unit_vectors_centred(self):
         """Every column is a unit vector, and each component of a uniform
@@ -413,25 +431,114 @@ class TestQuadratureAgreement:
         assert est.std_error == 0.0
 
 
-class TestNodeCache:
-    """The Gauss-Legendre rule is built once per node count and shared."""
+class TestMomentForm:
+    """The fidelity and reversibility quadratures sum the tensor rule through
+    its cached moments. They must equal the explicit sums over the rule's
+    points, and a wrong integrand must not slip through."""
 
     OP = MeasurementOperator(
         su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0)) @ np.diag([0.9, 0.35])
     )
 
+    @staticmethod
+    def explicit(op, u, w):
+        """Fidelity as the grid sum of |<psi| u D |psi>|^2 over the rule's
+        states, written with their amplitudes, and reversibility from the
+        line sum of q, over the rule with nodes u and weights w."""
+        nodes = u.size
+        phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
+        a0 = np.sqrt(0.5 * (1.0 + u))[:, None]
+        a1 = np.sqrt(0.5 * (1.0 - u))[:, None] * np.exp(1j * phi)
+        core = op.canonical.u * np.array([1.0, op.lam])
+        amp = a0 * (core[0, 0] * a0 + core[0, 1] * a1) + a1.conj() * (
+            core[1, 0] * a0 + core[1, 1] * a1
+        )
+        zbar = 0.5 * np.sum(w * np.mean(np.abs(amp) ** 2, axis=1))
+        lam2 = op.lam**2
+        qbar = 0.5 * np.sum(w * 0.5 * ((1.0 + lam2) + u * (1.0 - lam2)))
+        return zbar / qbar, lam2 / qbar
+
+    @pytest.mark.parametrize("nodes", [8, 64, 65])
+    def test_matches_explicit_sums(self, nodes):
+        u, w = leggauss(nodes)
+        rng = np.random.default_rng(nodes)
+        worst = 0.0
+        for op in TestPauliIntegrands.operators(rng, 200):
+            fid, rev = self.explicit(op, u, w)
+            got_fid = quadrature_fidelity(op, nodes=nodes)
+            got_rev = quadrature_reversibility(op, nodes=nodes)
+            assert got_fid.samples == 2 * nodes * nodes and got_rev.samples == nodes
+            worst = max(worst, abs(got_fid.value - fid) / fid, abs(got_rev.value - rev) / rev)
+        assert worst <= 1e-14
+
+    def test_moments_are_symmetric_scalars(self):
+        for nodes in (8, 64, 65):
+            m = _moments(nodes)
+            assert isinstance(m, tuple) and len(m) == 4
+            for i in range(4):
+                assert isinstance(m[i], tuple) and len(m[i]) == 4
+                for j in range(4):
+                    assert type(m[i][j]) is float
+                    assert m[i][j] == m[j][i]
+
+    @staticmethod
+    def flipped_trace(op):
+        """b0 from tr(u D sigma_z) instead of tr(u D): a sign slip in the trace."""
+        b0, (b1, b2, b3) = _amplitude_pauli(op)
+        return b3, (b1, b2, b0)
+
+    @staticmethod
+    def right_factor(op):
+        """The right unitary factor v in place of the left one, u."""
+        (v00, v01), (v10, v11) = op.canonical.v.tolist()
+        return oracle._pauli(((v00, v01 * op.lam), (v10, v11 * op.lam)))
+
+    @staticmethod
+    def squared_core(op):
+        """D = diag(1, lam^2) instead of diag(1, lam)."""
+        (u00, u01), (u10, u11) = op.canonical.u.tolist()
+        return oracle._pauli(((u00, u01 * op.lam**2), (u10, u11 * op.lam**2)))
+
+    @pytest.mark.parametrize("wrong", ["flipped_trace", "right_factor", "squared_core"])
+    def test_wrong_integrand_fails_the_tolerance(self, monkeypatch, wrong):
+        """Negative control: with a wrong integrand the fidelity quadrature
+        misses the closed form by more than verify's 1e-8. (The sphere
+        average of |b0 + b . r|^2 is |b0|^2 + |b|^2 / 3, so slips that keep
+        those moduli, such as conj(b) for b or diag(lam, 1) for D with u
+        in SU(2) up to a phase, cannot be seen by any exact average.)"""
+        reference = analytics.fidelity_of_operator(self.OP)
+        assert abs(quadrature_fidelity(self.OP).value - reference) < 1e-12
+        monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
+        assert abs(quadrature_fidelity(self.OP).value - reference) > 1e-8
+
+
+class TestNodeCache:
+    """The Gauss-Legendre rule and the tensor rule's moments are built once
+    per node count and shared."""
+
+    OP = TestMomentForm.OP
+
     def reference(self, nodes):
-        """All three quadratures from a freshly built rule."""
+        """All three quadratures from a freshly built rule, through the same
+        formulas as the cached path: line sums for information, and the
+        moments of (1, r) for fidelity and reversibility."""
         u, w = leggauss(nodes)
         lam = self.OP.lam
         q = 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
         qbar = 0.5 * float(np.sum(w * q))
         qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
         phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
-        z = _fidelity_weight(self.OP, _bloch_vectors(u[:, None], phi).reshape(3, -1))
-        z = z.reshape(nodes, -1)
-        zbar = 0.5 * float(np.sum(w * z.mean(axis=1)))
-        return qlog / qbar - math.log2(qbar), zbar / qbar, lam * lam / qbar
+        s = np.sqrt((1.0 - u) * (1.0 + u))
+        f = np.array([np.ones_like(u), s, s, u])
+        h = np.array([np.ones_like(phi), np.cos(phi), np.sin(phi), np.ones_like(phi)])
+        m = (np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)).tolist()
+        b0, b = _amplitude_pauli(self.OP)
+        c = (b0,) + b
+        zbar = sum((x.conjugate() * sum(a * y for a, y in zip(row, c))).real
+                   for x, row in zip(c, m))
+        # q is linear in u and the rule's zeroth moment is 1.
+        mbar = 0.5 * ((1.0 + lam * lam) + m[0][3] * (1.0 - lam * lam))
+        return qlog / qbar - math.log2(qbar), zbar / mbar, lam * lam / mbar
 
     def test_quadratures_match_fresh_rule(self):
         for nodes in (8, 64, 65, 8, 65, 64):
