@@ -39,7 +39,7 @@ from . import analytics, oracle
 from .errors import DomainError, FormatError, InputError
 from .linalg import matrix_from_json, su2_params
 from .measurement import MeasurementOperator, MeasurementSet, PureState
-from .reversal import simulate_reversal
+from .reversal import REVERSIBLE_LAM_TOL, simulate_reversal
 
 #: For each quantity the verify command checks: its closed form and its
 #: quadrature and Monte Carlo oracles. Looked up at call time so tests can
@@ -90,6 +90,15 @@ def _lambda_grid(args, min_points: int = 2) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _write_output(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout if there is none."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_sweep(args) -> int:
     grid = _lambda_grid(args)
     records = [analytics.tradeoff_record(lam) for lam in grid]
@@ -106,11 +115,7 @@ def cmd_sweep(args) -> int:
         ]
         text = json.dumps(payload, indent=2) + "\n"
 
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, text)
     return 0
 
 
@@ -159,11 +164,11 @@ def cmd_verify(args) -> int:
         per_lambda_run = 0
         skipped_note = ""
         for quantity, (closed_form, quadrature, monte_carlo) in QUANTITIES.items():
-            if quantity == "reversibility" and lam == 0.0:
+            if quantity == "reversibility" and op.lam < REVERSIBLE_LAM_TOL:
                 # Nothing to reverse: the operator annihilates a state.
                 checks.append(
                     {
-                        "lambda": 0.0,
+                        "lambda": _round12(lam),
                         "quantity": quantity,
                         "method": "skipped",
                         "note": "irreversible",
@@ -218,12 +223,7 @@ def cmd_verify(args) -> int:
         "failures": len(failures),
         "passed": passed,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, json.dumps(report, indent=2) + "\n")
 
     if passed:
         print(f"verify: PASS ({len(run)}/{len(run)} checks)", file=sys.stderr)

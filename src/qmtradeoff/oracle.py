@@ -26,12 +26,12 @@ Conventions shared by both routes:
   through the left unitary factor and uses a tensor rule (Gauss-Legendre in
   u times a uniform periodic rule in phi — the integrand is a degree-2
   trigonometric polynomial in phi, integrated exactly by >= 5 points);
-* the Gauss-Legendre rule and the tensor rule's moments of (1, r), all that
-  polynomial integrands need, are built once per node count and shared;
-* q is linear in u and, at small lam, vanishes just beyond u = -1 (at
-  u ~ -1 - 2 lam^2), where q log q is not analytic. Below lam = 0.05 the
-  information quadrature therefore maps the same rule onto subintervals
-  graded geometrically toward u = -1;
+* q is linear in u and vanishes about 2 lam^2 beyond u = -1, where q log q
+  is not analytic, so the information quadrature maps the Gauss-Legendre
+  rule onto subintervals graded geometrically toward u = -1, as many as lam
+  needs (one interval at lam = 1), down to lam = 0;
+* the graded rules and the tensor rule's moments of (1, r), all that
+  polynomial integrands need, are built once, on first use, and shared;
 * Monte Carlo ratio estimators report a delta-method standard error and a
   100-block jackknife standard error as an independent second opinion.
 """
@@ -49,16 +49,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DegenerateSampleError, DomainError
 from .measurement import MeasurementOperator
 from .reversal import _check_reversible
-
-#: Quadrature collapses to the exact limit value below this strength ratio
-#: (the log singularity at q -> 0 would otherwise slow convergence).
-QUADRATURE_SMALL_LAM = 1e-6
-
-# Below this strength ratio the information quadrature integrates over
-# subintervals graded toward u = -1 instead of with a single rule.
-_GRADED_BELOW_LAM = 0.05
-
-_INFO_LIMIT_AT_ZERO = 1.0 - 1.0 / (2.0 * math.log(2.0))
 
 _JACKKNIFE_BLOCKS = 100
 
@@ -125,6 +115,11 @@ def _fidelity_weight(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
     b0, b = _amplitude_pauli(op)
     re, im = np.array([[x.real for x in b], [x.imag for x in b]]) @ r + [[b0.real], [b0.imag]]
     return re * re + im * im
+
+
+def _xlog2x(q: np.ndarray) -> np.ndarray:
+    """q log2 q, taken as its limit 0 where q <= 0."""
+    return np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -200,9 +195,8 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     which is invariant under rescaling of q.
     """
     y = _outcome_q(op, r)
-    z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
     return _ratio_estimate(
-        (y, z),
+        (y, _xlog2x(y)),
         lambda ym, zm: zm / ym - np.log2(ym),
         lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
     )
@@ -246,16 +240,22 @@ def _check_nodes(nodes: int) -> int:
 
 
 @functools.lru_cache
-def _gauss_legendre(nodes: int) -> tuple:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    return _read_only(*leggauss(nodes))
+def _gauss_legendre(nodes: int, depth: int) -> tuple:
+    """Read-only nodes and weights of the ``nodes``-point Gauss-Legendre rule
+    mapped onto each subinterval of [-1, 1] between the breakpoints -1,
+    -1 + 2 * 8^-k for k = depth, ..., 1, and 1; depth 0 is the plain rule."""
+    x, w = leggauss(nodes)
+    edges = np.concatenate(([-1.0], -1.0 + 2.0 * 8.0 ** -np.arange(depth, 0, -1), [1.0]))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return _read_only((mid + half * x).ravel(), (half * w).ravel())
 
 
 @functools.lru_cache
 def _moments(nodes: int) -> tuple:
     """Second moments M of x = (1, r) under the fidelity tensor rule, a symmetric
     4x4 tuple of floats: x = f(u) h(phi), so each is a u sum times a phi mean."""
-    u, w = _gauss_legendre(nodes)
+    u, w = _gauss_legendre(nodes, 0)
     phi = np.arange(2 * nodes) * (math.pi / nodes)
     s = np.sqrt((1.0 - u) * (1.0 + u))
     f, h = np.array([u**0, s, s, u]), np.array([phi**0, np.cos(phi), np.sin(phi), phi**0])
@@ -263,40 +263,24 @@ def _moments(nodes: int) -> tuple:
     return tuple(map(tuple, m.tolist()))
 
 
-def _graded_rule(lam: float, nodes: int) -> tuple:
-    """The ``nodes``-point rule mapped onto each subinterval between the
-    breakpoints -1, -1 + 2 * 8^-k for k = K, ..., 1, and 1, where
-    K = ceil(log_8(1 / lam^2)), so that the innermost subinterval is no wider
-    than the distance ~2 lam^2 from u = -1 to the zero of q."""
-    x, w = _gauss_legendre(nodes)
-    k = math.ceil(math.log(1.0 / (lam * lam), 8))
-    edges = np.concatenate(([-1.0], -1.0 + 2.0 * 8.0 ** -np.arange(k, 0, -1), [1.0]))
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
 def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
-    Gauss-Legendre in u = cos θ: the integrand q log2 q is smooth for
-    lam > 0 (64 nodes reach ~1e-11 at lam = 0.05, and machine precision by
-    lam ~ 0.2). Below lam = 0.05 the zero of q comes within ~2 lam^2 of
-    u = -1 and a single rule converges slowly, so the rule is applied on
-    subintervals graded toward u = -1 (``samples`` then counts every node).
-    Below ``QUADRATURE_SMALL_LAM`` the exact lam = 0 limit 1 - 1/(2 ln 2) is
-    returned instead.
+    q log2 q is not analytic at the zero of q, which lies about 2 lam^2
+    beyond u = -1, so a single rule converges slowly at small lam. The
+    ``nodes``-point rule is therefore applied on subintervals graded toward
+    u = -1, K = ceil(log_8(1 / lam^2)) of them below u = -3/4, so that the
+    innermost one is no wider than that distance (``samples`` counts every
+    node). K stops growing where 1 + lam^2 rounds to 1: from there on q is
+    q at lam = 0, and q log2 q is taken as 0 where q vanishes.
     """
     nodes = _check_nodes(nodes)
     lam = op.lam
-    if lam < QUADRATURE_SMALL_LAM:
-        return Estimate(
-            value=_INFO_LIMIT_AT_ZERO, std_error=0.0, samples=nodes, method="quadrature"
-        )
-    u, w = _graded_rule(lam, nodes) if lam < _GRADED_BELOW_LAM else _gauss_legendre(nodes)
+    depth = math.ceil(math.log(1.0 / max(lam * lam, 2.0**-53), 8))
+    u, w = _gauss_legendre(nodes, depth)
     q = _q(lam, u)
     qbar = 0.5 * float(np.sum(w * q))
-    qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
+    qlog = 0.5 * float(np.sum(w * _xlog2x(q)))
     value = qlog / qbar - math.log2(qbar)
     return Estimate(value=value, std_error=0.0, samples=q.size, method="quadrature")
 

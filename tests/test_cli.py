@@ -362,6 +362,22 @@ class TestVerify:
         assert skipped[0]["quantity"] == "reversibility"
         assert skipped[0]["note"] == "irreversible"
 
+    def test_tiny_strength_skips_reversibility(self, capsys):
+        """Every lam below the reversal threshold 1e-14 is irreversible, not
+        only lam = 0; each skipped row records its own lam."""
+        code, out, err = run(
+            capsys, "verify", "--lambda-min", "0", "--lambda-max", "1e-14", "--points", "3",
+            "--samples", "2000", "--seed", "1",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        skipped = [c for c in report["checks"] if c["method"] == "skipped"]
+        assert [(c["lambda"], c["quantity"]) for c in skipped] == [
+            (0.0, "reversibility"), (5e-15, "reversibility")
+        ]
+        assert all(c["passed"] for c in report["checks"])
+        assert report["failures"] == 0 and report["passed"] is True
+
 
 class TestSimulateReversal:
     def test_empirical_rate_brackets_prediction(self, capsys):

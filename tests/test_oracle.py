@@ -7,6 +7,7 @@ target.
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,7 +372,7 @@ class TestQuadratureAgreement:
         curvature."""
         op = diag_op(0.05)
         ref = analytics.information_gain(0.05)
-        errs = [abs(quadrature_information(op, nodes=n).value - ref) for n in (16, 32, 64)]
+        errs = [abs(quadrature_information(op, nodes=n).value - ref) for n in (8, 12, 16)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[1] < errs[0] / 50.0
         assert errs[2] < 1e-10
@@ -391,16 +392,29 @@ class TestQuadratureAgreement:
                 assert abs(quadrature_reversibility(op).value - ref_r) < 1e-10
 
     def test_graded_rule_below_cutoff(self):
-        """Below lam = 0.05 the zero of q sits within ~2 lam^2 of u = -1; the
-        graded rule must still meet the closed form to 1e-12."""
+        """The zero of q sits within ~2 lam^2 of u = -1; the graded rule must
+        meet the closed form to 1e-12 on all of [0, 1], across the depth
+        floor and where the single rule once took over (lam = 0.05)."""
+        floor = 2.0**-26.5  # 1 + lam^2 rounds to 1 below: the depth stops growing
         grid = np.concatenate((
+            [0.0, 1e-300, 1e-12, 1e-9, np.nextafter(floor, 0.0), floor,
+             np.nextafter(floor, 1.0), 1e-7, 9.99e-7],
             np.geomspace(1e-6, 0.05, 60, endpoint=False),
             np.arange(1, 15) * 1e-3,
-            [0.015, 0.019, 0.0499999],
+            [0.015, 0.019, 0.0499999, 0.05, 0.06, 0.08, 0.12, 0.2],
         ))
         for lam in grid:
             est = quadrature_information(diag_op(lam))
             assert abs(est.value - analytics.information_gain(lam)) < 1e-12, lam
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-300])
+    def test_vanishing_q_raises_no_warning(self, lam):
+        """At lam = 0 (and wherever lam^2 underflows) q is exactly 0 at the
+        nodes nearest u = -1; q log2 q must be taken as 0 there, not as
+        0 * log2(0)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quadrature_information(diag_op(lam))
 
     def test_small_lambda_maps_to_limit(self):
         assert quadrature_information(diag_op(0.0)).value == pytest.approx(
@@ -429,6 +443,15 @@ class TestQuadratureAgreement:
         est = quadrature_information(diag_op(0.5), nodes=32)
         assert est.method == "quadrature"
         assert est.std_error == 0.0
+
+    @pytest.mark.parametrize(
+        "lam, subintervals",
+        [(1.0, 1), (0.5, 2), (0.05, 4), (1e-3, 8), (2.0**-26.5, 19), (1e-12, 19), (0.0, 19)],
+    )
+    def test_samples_count_every_node(self, lam, subintervals):
+        """The graded rule has ceil(log_8(1 / lam^2)) + 1 subintervals, at
+        most 19: the depth stops where 1 + lam^2 rounds to 1."""
+        assert quadrature_information(diag_op(lam), nodes=32).samples == 32 * subintervals
 
 
 class TestMomentForm:
@@ -513,8 +536,8 @@ class TestMomentForm:
 
 
 class TestNodeCache:
-    """The Gauss-Legendre rule and the tensor rule's moments are built once
-    per node count and shared."""
+    """The graded Gauss-Legendre rules and the tensor rule's moments are
+    built once and shared."""
 
     OP = TestMomentForm.OP
 
@@ -524,9 +547,15 @@ class TestNodeCache:
         moments of (1, r) for fidelity and reversibility."""
         u, w = leggauss(nodes)
         lam = self.OP.lam
-        q = 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
-        qbar = 0.5 * float(np.sum(w * q))
-        qlog = 0.5 * float(np.sum(w * q * np.log2(q)))
+        # The information rule is graded to depth ceil(log_8(1 / lam^2)) = 1
+        # at lam = 0.35 / 0.9: one breakpoint, at -1 + 2 / 8.
+        edges = np.array([-1.0, -1.0 + 2.0 / 8.0, 1.0])
+        half = 0.5 * np.diff(edges)[:, None]
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        gu, gw = (mid + half * u).ravel(), (half * w).ravel()
+        q = 0.5 * ((1.0 + lam * lam) + gu * (1.0 - lam * lam))
+        qbar = 0.5 * float(np.sum(gw * q))
+        qlog = 0.5 * float(np.sum(gw * (q * np.log2(q))))
         phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
         s = np.sqrt((1.0 - u) * (1.0 + u))
         f = np.array([np.ones_like(u), s, s, u])
@@ -551,7 +580,7 @@ class TestNodeCache:
             assert got == self.reference(nodes), nodes
 
     def test_cached_rule_is_read_only(self):
-        for a in _gauss_legendre(64):
+        for a in _gauss_legendre(64, 0) + _gauss_legendre(64, 3):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
