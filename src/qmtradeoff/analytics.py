@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IncompleteSetError
-from .linalg import su2_params
+from .linalg import _mul, su2_params
 from .measurement import MeasurementOperator, MeasurementSet
 
 LN2 = math.log(2.0)
@@ -237,16 +237,6 @@ def tradeoff_record(lam: float) -> TradeoffRecord:
     )
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> list:
-    # The 2x2 product x @ y as nested lists of Python complex.
-    x00, x01, x10, x11 = x.ravel().tolist()
-    y00, y01, y10, y11 = y.ravel().tolist()
-    return [
-        [x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
-        [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11],
-    ]
-
-
 @dataclass(frozen=True)
 class AveragedQuantities:
     """Outcome-averaged tradeoff quantities of a complete measurement set."""
@@ -282,7 +272,7 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
         p = outcome_probability_total(op.kappa, op.lam)
         probs.append(p)
         info += p * information_gain(canon.lam)
-        ang = su2_params(_matmul(canon.v, canon.u))
+        ang = su2_params(_mul(canon.v, canon.u))
         fid += p * fidelity_closed(canon.lam, ang.beta, ang.gamma)
         rev_weighted += p * reversibility(canon.lam)
         rev_direct += (canon.kappa * canon.lam) ** 2

@@ -101,7 +101,7 @@ def _write_output(path, text: str) -> None:
 
 def cmd_sweep(args) -> int:
     grid = _lambda_grid(args)
-    records = [analytics.tradeoff_record(lam) for lam in grid]
+    records = [analytics.tradeoff_record(lam) for lam in grid.tolist()]
 
     if args.format == "csv":
         lines = [",".join(_SWEEP_COLUMNS)]
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
                 per_lambda_ok += ok
                 per_lambda_run += 1
         print(
-            f"lambda={lam:.3f}  {per_lambda_ok}/{per_lambda_run} checks passed"
+            f"lambda={lam:.12g}  {per_lambda_ok}/{per_lambda_run} checks passed"
             f"{skipped_note}",
             file=sys.stderr,
         )

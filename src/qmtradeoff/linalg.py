@@ -1,10 +1,11 @@
 """Closed-form linear algebra for 2x2 complex matrices.
 
-Everything a single-qubit measurement operator needs: a canonical singular
+Everything a single-qubit measurement operator needs, evaluated on the four
+entries as Python scalars without iterative solvers: a canonical singular
 value factorization ``m = kappa * u @ diag(1, lam) @ v``, an angle
-parameterization of 2x2 unitaries with a pinned branch of ``alpha``, and a
-plain JSON encoding for complex matrices. The first two are closed forms,
-evaluated on the four entries as Python scalars without iterative solvers.
+parameterization of 2x2 unitaries with a pinned branch of ``alpha``, and the
+package's one 2x2 product, matrix-vector product and Gram ``m† m``; besides
+those, a plain JSON encoding for complex matrices.
 
 The factorization convention puts the largest singular value into the scale
 ``kappa`` so the diagonal core is ``diag(1, lam)`` with ``lam`` in [0, 1].
@@ -101,9 +102,28 @@ def as_matrix2(m) -> np.ndarray:
     return arr
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+def _mul(x: np.ndarray, y: np.ndarray) -> list:
+    # The rows of the 2x2 product x @ y, as Python complex.
+    x00, x01, x10, x11 = x.ravel().tolist()
+    y00, y01, y10, y11 = y.ravel().tolist()
+    return [
+        [x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
+        [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11],
+    ]
+
+
+def _apply(m: np.ndarray, x0, x1) -> tuple:
+    # The 2x2 matrix m times the column (x0, x1), on Python scalars.
+    m00, m01, m10, m11 = m.ravel().tolist()
+    return m00 * x0 + m01 * x1, m10 * x0 + m11 * x1
+
+
+def _gram(m: np.ndarray) -> tuple:
+    # Entries a, c (real) and b of m† m = [[a, b], [conj(b), c]].
+    m00, m01, m10, m11 = m.ravel().tolist()
+    a = (m00.conjugate() * m00 + m10.conjugate() * m10).real
+    c = (m01.conjugate() * m01 + m11.conjugate() * m11).real
+    return a, c, m00.conjugate() * m01 + m10.conjugate() * m11
 
 
 def _norm(p, q) -> float:

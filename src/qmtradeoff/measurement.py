@@ -23,7 +23,7 @@ from .errors import (
     IncompleteSetError,
     InvalidStrengthError,
 )
-from .linalg import Svd2Result, as_matrix2, dagger, matrix_from_json, matrix_to_json, svd2
+from .linalg import Svd2Result, _apply, _gram, as_matrix2, matrix_from_json, matrix_to_json, svd2
 
 #: Tolerance on || sum M† M - I || for complete sets.
 COMPLETENESS_TOL = 1e-10
@@ -137,10 +137,6 @@ class MeasurementOperator:
         """Strength ratio: smaller over larger singular value, in [0, 1]."""
         return self._canonical.lam
 
-    def gram(self) -> np.ndarray:
-        """M† M."""
-        return dagger(self._matrix) @ self._matrix
-
     def __repr__(self):
         return (
             f"MeasurementOperator(kappa={self.kappa:.6g}, lam={self.lam:.6g})"
@@ -157,12 +153,6 @@ def _clamp_probability(p: float) -> float:
     return p
 
 
-def _apply(m: np.ndarray, x0, x1) -> tuple:
-    # The 2x2 matrix m times the column (x0, x1), on Python scalars.
-    m00, m01, m10, m11 = m.ravel().tolist()
-    return m00 * x0 + m01 * x1, m10 * x0 + m11 * x1
-
-
 def outcome_probability(op: MeasurementOperator, state: PureState) -> float:
     """Probability ``<psi| M† M |psi>`` of obtaining this outcome.
 
@@ -176,13 +166,10 @@ def outcome_probability(op: MeasurementOperator, state: PureState) -> float:
 def check_completeness(operators: Sequence[MeasurementOperator]) -> float:
     """Largest entrywise deviation of ``sum_m M† M`` from the identity."""
     # sum M† M = [[a, b], [conj(b), c]], accumulated entrywise.
-    a = c = 0.0
-    b = 0j
+    a, c, b = 0.0, 0.0, 0j
     for op in operators:
-        m00, m01, m10, m11 = op.matrix.ravel().tolist()
-        a += (m00.conjugate() * m00 + m10.conjugate() * m10).real
-        c += (m01.conjugate() * m01 + m11.conjugate() * m11).real
-        b += m00.conjugate() * m01 + m10.conjugate() * m11
+        da, dc, db = _gram(op.matrix)
+        a, c, b = a + da, c + dc, b + db
     return max(abs(a - 1.0), abs(c - 1.0), abs(b))
 
 

@@ -14,8 +14,9 @@ Conventions shared by both routes:
   s = √(1 - u²);
 * every integrand is affine in r: writing a 2x2 matrix as a0 I + a . sigma,
   <psi|a|psi> = a0 + a . r. So q is g0 + g . r with the Pauli coefficients
-  of M†M / kappa^2, and the fidelity amplitude <psi|u D|psi> is b0 + b . r
-  with those of u diag(1, lam); its squared modulus is re² + im²;
+  of M†M / kappa^2, read off the Gram entries from ``linalg._gram``, and
+  the fidelity amplitude <psi|u D|psi> is b0 + b . r with those of
+  u diag(1, lam); its squared modulus is re² + im²;
 * each Monte Carlo estimator takes a (3, n) batch of Bloch vectors from
   ``sample_bloch_vectors``. ``verify`` draws one batch per lam and hands
   it to all three, so their estimates at one lam are correlated, while
@@ -47,6 +48,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateSampleError, DomainError
+from .linalg import _gram
 from .measurement import MeasurementOperator
 from .reversal import _check_reversible
 
@@ -98,11 +100,14 @@ def _q(lam: float, u: np.ndarray) -> np.ndarray:
 
 
 def _outcome_q(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
-    """Scaled outcome probability <psi|M†M|psi> / kappa^2 at Bloch vectors r.
-    Uses the raw matrix, so any right unitary factor shows up pointwise (its
-    effect must — and does — wash out of uniform averages)."""
-    g0, g = _pauli((op.gram() / (op.kappa * op.kappa)).tolist())
-    return g0.real + np.array([x.real for x in g]) @ r
+    """Scaled outcome probability <psi|M†M|psi> / kappa^2 at Bloch vectors r:
+    g0 + g . r, with g0 = (a + c) / 2 kappa^2 and g = (Re b, -Im b, (a - c) / 2)
+    / kappa^2 from linalg._gram's M†M = [[a, b], [conj(b), c]]. Uses the raw
+    matrix, so any right unitary factor shows up pointwise (its effect must —
+    and does — wash out of uniform averages)."""
+    a, c, b = _gram(op.matrix)
+    k2 = op.kappa * op.kappa
+    return 0.5 * (a + c) / k2 + np.array([b.real, -b.imag, 0.5 * (a - c)]) / k2 @ r
 
 
 def _amplitude_pauli(op: MeasurementOperator) -> tuple:

@@ -378,6 +378,18 @@ class TestVerify:
         assert all(c["passed"] for c in report["checks"])
         assert report["failures"] == 0 and report["passed"] is True
 
+    def test_progress_lines_tell_small_lambdas_apart(self, capsys):
+        """Each grid point's progress line on stderr names its own lam, down
+        to the 1e-12 edge the CI verify step covers."""
+        code, _, err = run(
+            capsys, "verify", "--lambda-min", "0", "--lambda-max", "1e-12", "--points", "5",
+            "--samples", "2000", "--seed", "1",
+        )
+        assert code == 0, err
+        progress = [line.split()[0] for line in err.splitlines() if line.startswith("lambda=")]
+        assert progress == [f"lambda={x:.12g}" for x in np.linspace(0.0, 1e-12, 5)]
+        assert len(set(progress)) == 5
+
 
 class TestSimulateReversal:
     def test_empirical_rate_brackets_prediction(self, capsys):

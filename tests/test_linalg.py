@@ -15,7 +15,6 @@ from qmtradeoff.linalg import (
     ZERO_OPERATOR_TOL,
     Su2Params,
     as_matrix2,
-    dagger,
     matrix_from_json,
     matrix_to_json,
     su2_matrix,
@@ -75,8 +74,8 @@ class TestSvd2:
             r = svd2(m)
             scale = max(np.abs(m).max(), 1.0)
             np.testing.assert_allclose(recompose(r), m, atol=1e-12 * scale)
-            np.testing.assert_allclose(dagger(r.u) @ r.u, eye, atol=1e-12)
-            np.testing.assert_allclose(dagger(r.v) @ r.v, eye, atol=1e-12)
+            np.testing.assert_allclose(r.u.conj().T @ r.u, eye, atol=1e-12)
+            np.testing.assert_allclose(r.v.conj().T @ r.v, eye, atol=1e-12)
             assert 0.0 <= r.lam <= 1.0 + 1e-15
 
     def test_singular_values_recover_det_and_trace(self):
@@ -88,7 +87,7 @@ class TestSvd2:
             s1, s2 = r.kappa, r.kappa * r.lam
             assert s1 * s2 == pytest.approx(abs(np.linalg.det(m)), rel=1e-10, abs=1e-12)
             assert s1 * s1 + s2 * s2 == pytest.approx(
-                np.trace(dagger(m) @ m).real, rel=1e-10
+                np.trace(m.conj().T @ m).real, rel=1e-10
             )
 
     def test_singular_values_match_lapack(self):
@@ -144,7 +143,7 @@ class TestSvd2:
         m = np.diag([1.0, 1e-12]).astype(complex)
         r = svd2(m)
         assert r.lam == pytest.approx(1e-12, rel=1e-6)
-        np.testing.assert_allclose(dagger(r.u) @ r.u, np.eye(2), atol=1e-13)
+        np.testing.assert_allclose(r.u.conj().T @ r.u, np.eye(2), atol=1e-13)
 
 
 def svd2_reference(m):
@@ -154,7 +153,7 @@ def svd2_reference(m):
     m = as_matrix2(m)
     e = math.frexp(max(map(abs, m.flat)))[1]
     m = np.ldexp(m.view(float), -e).view(complex)
-    h = dagger(m) @ m
+    h = m.conj().T @ m
     a, c, b = h[0, 0].real, h[1, 1].real, h[0, 1]
     disc = math.hypot(0.5 * (a - c), abs(b))
     eig1 = 0.5 * (a + c) + disc
@@ -193,7 +192,7 @@ def su2_params_reference(u):
     array arithmetic), with the same pin of alpha to +pi/2 on the negative
     real axis."""
     u = as_matrix2(u)
-    assert np.max(np.abs(u @ dagger(u) - np.eye(2))) <= 1e-10
+    assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-10
     det = np.linalg.det(u)
     if det.real < 0.0 and abs(det.imag) <= GAUGE_TIE_TOL * abs(det):
         alpha = 0.5 * np.pi
@@ -237,8 +236,8 @@ def reference_inputs(kind, rng):
         else:  # the benchmark's operator recipe: an outcome and its partner
             g = random_matrix(rng)
             m = g / np.linalg.norm(g, 2) * rng.uniform(0.2, 1.0)
-            evals, vecs = np.linalg.eigh(np.eye(2) - dagger(m) @ m)
-            out.append(w @ (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ dagger(vecs))
+            evals, vecs = np.linalg.eigh(np.eye(2) - m.conj().T @ m)
+            out.append(w @ (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T)
         out.append(m)
     return out
 
@@ -276,7 +275,7 @@ class TestScalarKernels:
                 np.testing.assert_allclose(r.v, v, rtol=0, atol=1e-12)
             np.testing.assert_allclose(recompose(r), m, rtol=0, atol=1e-12 * np.abs(m).max())
             for f in (r.u, r.v):
-                np.testing.assert_allclose(dagger(f) @ f, np.eye(2), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(f.conj().T @ f, np.eye(2), rtol=0, atol=1e-12)
                 assert f.dtype == complex and f.shape == (2, 2)
 
     @pytest.mark.parametrize("kind", [k for k in KINDS if k != "1e-150"])
@@ -291,6 +290,26 @@ class TestScalarKernels:
                 assert same_angle(p.beta, q.beta, 1e-12)
                 assert same_angle(p.delta, q.delta, 1e-12)
                 np.testing.assert_allclose(su2_matrix(p), w, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("kind", ["haar", "gaussian", "operators"])
+    def test_product_helpers_match_numpy(self, kind):
+        """_mul, _apply and _gram against NumPy's @ and m.conj().T @ m, on
+        matrices scaled to operator norm 1, so that every entry of a result
+        is at most 1 in modulus and 1e-15 is about 4 ulps."""
+        rng = np.random.default_rng(2500 + self.KINDS.index(kind))
+        ms = [m / np.linalg.norm(m, 2) for m in reference_inputs(kind, rng)]
+        for x, y in zip(ms, ms[1:] + ms[:1]):
+            for col in y.T:
+                np.testing.assert_allclose(
+                    linalg._apply(x, *col.tolist()), x @ col, rtol=0, atol=1e-15
+                )
+            np.testing.assert_allclose(linalg._mul(x, y), x @ y, rtol=0, atol=1e-15)
+            a, c, b = linalg._gram(x)
+            assert type(a) is float and type(c) is float
+            np.testing.assert_allclose(
+                [[a, b], [b.conjugate(), c]], x.conj().T @ x, rtol=0, atol=1e-15
+            )
 
 
 class TestSu2:
@@ -360,15 +379,10 @@ class TestSu2:
 
     def test_matrix_is_unitary(self):
         u = su2_matrix(Su2Params(alpha=0.3, beta=-1.2, gamma=0.7, delta=2.5))
-        np.testing.assert_allclose(dagger(u) @ u, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-15)
 
 
 class TestAlgebraHelpers:
-    def test_adjoint_is_involution(self):
-        rng = np.random.default_rng(66)
-        m = random_matrix(rng)
-        np.testing.assert_array_equal(dagger(dagger(m)), m)
-
     def test_unitary_determinant_modulus(self):
         u = su2_matrix(Su2Params(alpha=1.1, beta=0.4, gamma=0.9, delta=-2.0))
         assert abs(np.linalg.det(u)) == pytest.approx(1.0, abs=1e-14)
@@ -377,9 +391,8 @@ class TestAlgebraHelpers:
         rng = np.random.default_rng(67)
         for _ in range(50):
             m = random_matrix(rng)
-            assert np.trace(dagger(m) @ m).real == pytest.approx(
-                np.sum(np.abs(m) ** 2), rel=1e-13
-            )
+            a, c, _ = linalg._gram(m)
+            assert a + c == pytest.approx(np.sum(np.abs(m) ** 2), rel=1e-13)
 
 
 class TestEntries:
@@ -471,8 +484,8 @@ def test_svd2_invariants_property(entries):
     assert 0.0 <= r.lam <= 1.0 + 1e-12
     scale = max(np.abs(m).max(), 1.0)
     np.testing.assert_allclose(recompose(r), m, atol=1e-11 * scale)
-    np.testing.assert_allclose(dagger(r.u) @ r.u, np.eye(2), atol=1e-11)
-    np.testing.assert_allclose(dagger(r.v) @ r.v, np.eye(2), atol=1e-11)
+    np.testing.assert_allclose(r.u.conj().T @ r.u, np.eye(2), atol=1e-11)
+    np.testing.assert_allclose(r.v.conj().T @ r.v, np.eye(2), atol=1e-11)
 
 
 def complex_matrix(entries):

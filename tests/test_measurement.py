@@ -88,10 +88,6 @@ class TestMeasurementOperator:
         with pytest.raises((ValueError, RuntimeError)):
             op.matrix[0, 0] = 5.0
 
-    def test_gram(self):
-        op = MeasurementOperator(0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(op.gram(), 0.25 * np.eye(2), atol=1e-15)
-
 
 class TestProbabilities:
     def test_diagonal_operator(self):
@@ -154,7 +150,7 @@ class TestCompleteness:
     def test_two_outcome_family_is_complete(self):
         for lam0, kappa0 in [(0.5, 1.0), (0.2, 0.7), (0.95, 0.99), (0.0, 0.5)]:
             mset = two_outcome_family(lam0, kappa0)
-            total = sum(op.gram() for op in mset.operators)
+            total = sum(op.matrix.conj().T @ op.matrix for op in mset.operators)
             np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_two_outcome_family_degenerate_corner(self):
@@ -188,15 +184,15 @@ class TestMeasurementSet:
 def check_completeness_reference(operators):
     """The NumPy formulation of :func:`check_completeness`: the summed Gram
     matrices against ``np.eye(2)``."""
-    total = sum(op.gram() for op in operators)
+    total = sum(op.matrix.conj().T @ op.matrix for op in operators)
     return float(np.max(np.abs(total - np.eye(2))))
 
 
 def outcome_probability_reference(op, state):
     """The NumPy formulation of :func:`outcome_probability`:
     ``<psi| M† M |psi>`` through the Gram matrix, with the same clamp."""
-    amp = state.amplitudes()
-    return _clamp_probability(float(np.real(np.vdot(amp, op.gram() @ amp))))
+    amp, m = state.amplitudes(), op.matrix
+    return _clamp_probability(float(np.real(np.vdot(amp, m.conj().T @ m @ amp))))
 
 
 def from_amplitudes_reference(vec):

@@ -7,7 +7,7 @@ import pytest
 
 from qmtradeoff import reversal
 from qmtradeoff.errors import DomainError, IrreversibleError, ZeroProbabilityError
-from qmtradeoff.linalg import Su2Params, dagger, su2_matrix
+from qmtradeoff.linalg import Su2Params, su2_matrix
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.reversal import (
     REVERSIBLE_LAM_TOL,
@@ -34,7 +34,7 @@ def optimal_reversing_reference(op):
     if canon.lam < REVERSIBLE_LAM_TOL:
         raise IrreversibleError("operator has a zero singular value")
     core = np.diag([canon.lam, 1.0]).astype(complex)
-    return dagger(canon.v) @ core @ dagger(canon.u)
+    return canon.v.conj().T @ core @ canon.u.conj().T
 
 
 def reference_operators(kind, rng):
@@ -98,7 +98,7 @@ class TestScalarReversing:
         swapped does not restore the state, and simulate_reversal says so."""
         op = make_operator(0.9, 0.4, seed=5)
         canon = op.canonical
-        swapped = dagger(canon.v) @ np.diag([1.0, canon.lam]) @ dagger(canon.u)
+        swapped = canon.v.conj().T @ np.diag([1.0, canon.lam]) @ canon.u.conj().T
         monkeypatch.setattr(
             reversal, "optimal_reversing", lambda op: ReversingMeasurement(swapped, 0.36)
         )
@@ -245,6 +245,29 @@ class TestSimulateReversal:
             stats = simulate_reversal(op, state, 40, rng)
             if stats.successes:
                 assert stats.recovered_fidelity_min >= 1.0 - 1e-10
+
+    def test_scaled_reversal_fails_the_band(self, monkeypatch):
+        """Negative control of the 99.9% binomial band of test_05 in
+        test_acceptance.py, run over its cells with its seed: an R0 scaled
+        by 0.99 still restores the state but succeeds 2% less often than
+        predicted, and the band must catch that."""
+        def scaled(op, build=optimal_reversing):
+            rev = build(op)
+            return ReversingMeasurement(0.99 * rev.matrix, 0.99 * rev.eta)
+
+        monkeypatch.setattr(reversal, "optimal_reversing", scaled)
+        rng, trials, z_999 = np.random.default_rng(20260819), 100_000, 3.290526731491894
+        outside = []
+        for lam in (0.3, 0.5, 0.8):
+            for theta in (0.0, math.pi / 2, math.pi):
+                stats = simulate_reversal(
+                    make_operator(1.0, lam), PureState(theta=theta, phi=0.3), trials, rng
+                )
+                p = stats.predicted_rate
+                if abs(stats.empirical_rate - p) > z_999 * math.sqrt(p * (1.0 - p) / trials):
+                    outside.append((lam, theta))
+                assert stats.recovered_fidelity_min >= 1.0 - 1e-10
+        assert outside
 
     def test_trials_validated(self):
         op = make_operator(1.0, 0.5)
