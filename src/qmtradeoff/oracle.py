@@ -18,9 +18,11 @@ Conventions shared by both routes:
   the fidelity amplitude <psi|u D|psi> is b0 + b . r with those of
   u diag(1, lam); its squared modulus is re² + im²;
 * each Monte Carlo estimator takes a (3, n) batch of Bloch vectors from
-  ``sample_bloch_vectors``. ``verify`` draws one batch per lam and hands
-  it to all three, so their estimates at one lam are correlated, while
-  estimates at different lam stay independent;
+  ``sample_bloch_vectors``. ``verify`` draws one batch per run and hands
+  it to every estimator at every lam. Each check keeps its own marginal
+  distribution, but checks at different lam are correlated, so one
+  unlucky batch fails a band of lam together (README, *Numerical notes*,
+  gives the measured rate);
 * the information and reversibility integrands depend on the state only
   through the scaled outcome probability q, so their quadratures are
   one-dimensional in u; the fidelity integrand retains a phi dependence
@@ -107,7 +109,9 @@ def _outcome_q(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
     and does — wash out of uniform averages)."""
     a, c, b = _gram(op.matrix)
     k2 = op.kappa * op.kappa
-    return 0.5 * (a + c) / k2 + np.array([b.real, -b.imag, 0.5 * (a - c)]) / k2 @ r
+    y = np.dot(np.array([b.real, -b.imag, 0.5 * (a - c)]) / k2, r)
+    y += 0.5 * (a + c) / k2
+    return y
 
 
 def _amplitude_pauli(op: MeasurementOperator) -> tuple:
@@ -118,13 +122,19 @@ def _amplitude_pauli(op: MeasurementOperator) -> tuple:
 def _fidelity_weight(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
     """``|<psi| u D |psi>|^2`` at Bloch vectors r."""
     b0, b = _amplitude_pauli(op)
-    re, im = np.array([[x.real for x in b], [x.imag for x in b]]) @ r + [[b0.real], [b0.imag]]
-    return re * re + im * im
+    w = np.dot(np.array([[x.real for x in b], [x.imag for x in b]]), r)
+    w += [[b0.real], [b0.imag]]
+    np.multiply(w, w, out=w)
+    return np.add(w[0], w[1], out=w[0])
 
 
 def _xlog2x(q: np.ndarray) -> np.ndarray:
     """q log2 q, taken as its limit 0 where q <= 0."""
-    return np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
+    t = np.maximum(q, 1e-300)
+    np.log2(t, out=t)
+    t *= q
+    np.copyto(t, 0.0, where=~(q > 0.0))
+    return t
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -176,10 +186,12 @@ def _ratio_estimate(
     if means[0] <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
     g = np.array(grad(*means))
+    jackknife = _jackknife_se(data, totals, fn)
     # np.cov(data)'s own arithmetic without its argument handling, so that
-    # std_error keeps every bit.
-    x = data - mean[:, None]
-    cov = np.dot(x, x.T)
+    # std_error keeps every bit; data is centered in place, after the
+    # jackknife has read it.
+    data -= mean[:, None]
+    cov = np.dot(data, data.T)
     cov *= np.true_divide(1, n - 1)
     var = float(g @ cov @ g) / n
     return Estimate(
@@ -187,7 +199,7 @@ def _ratio_estimate(
         std_error=math.sqrt(max(var, 0.0)),
         samples=n,
         method="monte-carlo",
-        std_error_jackknife=_jackknife_se(data, totals, fn),
+        std_error_jackknife=jackknife,
     )
 
 

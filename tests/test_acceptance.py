@@ -77,7 +77,8 @@ def test_03_oracle_equivalence():
     errors, for all three quantities on the 19-point strength grid; under
     two minutes single-threaded."""
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
+    # One batch of states for the whole grid, as verify draws it.
+    r = oracle.sample_bloch_vectors(np.random.default_rng(SEED), 1_000_000)
     for lam in np.linspace(0.05, 0.95, 19):
         op = diag_op(lam)
         targets = {
@@ -91,8 +92,6 @@ def test_03_oracle_equivalence():
             abs(oracle.quadrature_reversibility(op).value - targets["reversibility"])
             < 1e-8
         )
-        # One batch of states per lam, shared by the three estimators.
-        r = oracle.sample_bloch_vectors(rng, 1_000_000)
         for fn, key in (
             (oracle.estimate_information, "info"),
             (oracle.estimate_fidelity, "fidelity"),

@@ -224,6 +224,9 @@ class TestVerify:
         code, out, err = run(capsys, *self.ARGS)
         assert code == 0
         report = json.loads(out)
+        assert list(report) == ["seed", "samples", "nodes", "tolerance", "grid", "checks",
+                                "failures", "passed", "batch"]
+        assert report["batch"] == "per-run"
         assert report["passed"] is True
         assert report["failures"] == 0
         assert report["seed"] == 20260819
@@ -238,10 +241,9 @@ class TestVerify:
         _, out, _ = run(capsys, *self.ARGS)
         rows = json.loads(out)["checks"]
         keys = ["lambda", "quantity", "method", "value", "reference", "error", "bound", "passed"]
-        rng = np.random.default_rng(20260819)
+        r = cli.oracle.sample_bloch_vectors(np.random.default_rng(20260819), 20000)
         for lam in (0.25, 0.5, 0.75):
             op = cli.MeasurementOperator(np.diag([1.0, lam]))
-            r = cli.oracle.sample_bloch_vectors(rng, 20000)
             for quantity, (_, _, monte_carlo) in cli.QUANTITIES.items():
                 est = monte_carlo(op, r)
                 quad, mc = rows.pop(0), rows.pop(0)
@@ -308,9 +310,37 @@ class TestVerify:
         assert out == ""
         assert err.splitlines()[-1] == "error: sample average of q is not positive"
 
-    def test_one_batch_per_lambda(self, capsys, monkeypatch):
-        """verify draws one batch of states per grid point and hands that
-        same batch to every Monte Carlo check there."""
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("quantity", ["information", "fidelity", "reversibility"])
+    def test_eight_sigma_nudge_fails_every_monte_carlo_row(self, capsys, monkeypatch,
+                                                           quantity, sign):
+        """Power of the 4-sigma gate on the shared batch: moving a closed
+        form by 8 of each row's own sigma (bound / 4 of an unpatched run)
+        fails the Monte Carlo row at every lam. A 4-sigma gate misses an
+        8-sigma shift with probability about 3e-5 per row."""
+        _, out, _ = run(capsys, *self.ARGS)
+        sigma = {c["lambda"]: c["bound"] / 4.0 for c in json.loads(out)["checks"]
+                 if c["quantity"] == quantity and c["method"] == "monte-carlo"}
+        assert len(sigma) == 3 and min(sigma.values()) > 1e-12
+
+        def nudged(op, true_fn=cli.QUANTITIES[quantity][0]):
+            lam = min(sigma, key=lambda x: abs(x - op.lam))
+            return true_fn(op) + sign * 8.0 * sigma[lam]
+
+        monkeypatch.setitem(cli.QUANTITIES, quantity, (nudged, *cli.QUANTITIES[quantity][1:]))
+        code, out, err = run(capsys, *self.ARGS)
+        assert code == 1
+        rows = [c for c in json.loads(out)["checks"]
+                if c["quantity"] == quantity and c["method"] == "monte-carlo"]
+        assert [c["lambda"] for c in rows] == [0.25, 0.5, 0.75]
+        for c in rows:
+            assert c["bound"] == 4.0 * sigma[c["lambda"]]
+            assert not c["passed"], c
+        assert f"FAIL {quantity} (monte-carlo)" in err
+
+    def test_one_batch_per_run(self, capsys, monkeypatch):
+        """verify draws one batch of --samples states per run and hands that
+        same batch to every Monte Carlo check on the grid."""
         draws, seen = [], []
         sample = cli.oracle.sample_bloch_vectors
 
@@ -329,10 +359,11 @@ class TestVerify:
                 "--samples", "2000", "--seed", "5")
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert len(draws) == 3
+        assert len(draws) == 1
+        assert draws[0].shape == (3, 2000)
         # Reversibility is skipped at lambda = 0: 2 + 3 + 3 checks.
-        expected = [draws[0]] * 2 + [draws[1]] * 3 + [draws[2]] * 3
-        assert list(map(id, seen)) == list(map(id, expected))
+        assert len(seen) == 2 + 3 + 3
+        assert all(r is draws[0] for r in seen)
 
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:

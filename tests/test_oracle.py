@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 from qmtradeoff import analytics, oracle
 from qmtradeoff.errors import DomainError, IrreversibleError
-from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
+from qmtradeoff.linalg import Su2Params, _gram, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
     _amplitude_pauli,
@@ -391,6 +391,68 @@ class TestJackknife:
             assert type(est.value) is float
             assert type(est.std_error) is float
             assert type(est.std_error_jackknife) is float
+
+
+def allocating_estimates(op, r):
+    """The three Monte Carlo estimates with every temporary of the plain
+    NumPy expressions: the integrands as whole-array sums, and the
+    covariance from a centered copy of the data."""
+    a, c, b = _gram(op.matrix)
+    k2 = op.kappa * op.kappa
+    y = 0.5 * (a + c) / k2 + np.array([b.real, -b.imag, 0.5 * (a - c)]) / k2 @ r
+    b0, bv = _amplitude_pauli(op)
+    re, im = np.array([[x.real for x in bv], [x.imag for x in bv]]) @ r + [[b0.real], [b0.imag]]
+    lam = op.lam
+    lam2 = lam * lam
+    q = 0.5 * ((1.0 + lam2) + r[2] * (1.0 - lam2))
+
+    def ratio(columns, fn, grad):
+        data = np.array(columns)
+        n = data.shape[1]
+        totals = np.add.reduce(data, axis=1)
+        mean = totals / n
+        means = mean.tolist()
+        g = np.array(grad(*means))
+        x = data - mean[:, None]
+        cov = np.dot(x, x.T)
+        cov *= np.true_divide(1, n - 1)
+        var = float(g @ cov @ g) / n
+        return oracle.Estimate(float(fn(*means)), math.sqrt(max(var, 0.0)), n, "monte-carlo",
+                               oracle._jackknife_se(data, totals, fn))
+
+    return (
+        ratio((y, np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)),
+              lambda ym, zm: zm / ym - np.log2(ym),
+              lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym)),
+        ratio((q, re * re + im * im), lambda ym, zm: zm / ym,
+              lambda ym, zm: (-zm / ym**2, 1.0 / ym)),
+        ratio((y,), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,)),
+    )
+
+
+class TestInPlaceArithmetic:
+    """The integrands and the ratio estimate write into their own buffers
+    instead of allocating temporaries; every bit of every Estimate stays
+    that of the plain expressions."""
+
+    def test_xlog2x_matches_where_form(self):
+        q = np.concatenate((np.random.default_rng(3).uniform(-0.5, 1.5, 1000),
+                            [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, np.inf, -np.inf, np.nan]))
+        expected = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
+        assert oracle._xlog2x(q).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [57, 2000, 2001, 200_000])
+    def test_estimates_match_allocating_form(self, n):
+        rng = np.random.default_rng(n)
+        r = bloch(n + 1, n)
+        ops = list(TestPauliIntegrands.operators(rng, 3 if n > 10_000 else 24))
+        ops += [diag_op(lam, kappa) for lam, kappa in
+                zip(rng.uniform(0.01, 1.0, 3), (1.0, 0.7, 0.3))]
+        ops += [diag_op(1e-9), diag_op(1.0)]
+        for op in ops:
+            got = (estimate_information(op, r), estimate_fidelity(op, r),
+                   estimate_reversibility(op, r))
+            assert got == allocating_estimates(op, r)
 
 
 class TestQuadratureAgreement:
