@@ -22,7 +22,6 @@ from .analytics import (
     fidelity_of_operator,
     information_gain,
     optimal_fidelity,
-    outcome_probability_total,
     reversibility,
     tradeoff_record,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "optimal_fidelity",
     "optimal_reversing",
     "outcome_probability",
-    "outcome_probability_total",
     "quadrature_fidelity",
     "quadrature_information",
     "quadrature_reversibility",

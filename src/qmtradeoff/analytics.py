@@ -203,16 +203,6 @@ def efficiency_reversibility(lam: float) -> float:
     return information_gain(lam) / deficit
 
 
-def outcome_probability_total(kappa: float, lam: float) -> float:
-    """Probability of this outcome across a uniform Bloch-sphere prior:
-    ``kappa^2 (1 + lam^2) / 2``.
-
-    Callers guarantee ``kappa >= 0`` and ``lam`` in [0, 1]; nothing is
-    validated here.
-    """
-    return 0.5 * kappa * kappa * (1.0 + lam * lam)
-
-
 @dataclass(frozen=True)
 class TradeoffRecord:
     """All tradeoff quantities evaluated at one strength ratio."""
@@ -269,7 +259,7 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
     rev_direct = 0.0
     for op in mset.operators:
         canon = op.canonical
-        p = outcome_probability_total(op.kappa, op.lam)
+        p = 0.5 * canon.kappa * canon.kappa * (1.0 + canon.lam * canon.lam)
         probs.append(p)
         info += p * information_gain(canon.lam)
         ang = su2_params(_mul(canon.v, canon.u))

@@ -69,6 +69,10 @@ _SWEEP_COLUMNS = ("lambda",) + _SWEEP_FIELDS[1:]
 
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
+#: Gauss-Legendre nodes of verify's quadratures, and the error they must meet.
+_VERIFY_NODES = 64
+_VERIFY_TOLERANCE = 1e-8
+
 
 def _fmt(x: float) -> str:
     """12 significant digits."""
@@ -123,7 +127,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge integers, deep nesting
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -181,11 +185,11 @@ def cmd_verify(args) -> int:
                 continue
             reference = closed_form(op)
             for est in (
-                quadrature(op, nodes=args.nodes),
+                quadrature(op, nodes=_VERIFY_NODES),
                 monte_carlo(op, r),
             ):
                 if est.method == "quadrature":
-                    bound = args.tolerance
+                    bound = _VERIFY_TOLERANCE
                 else:
                     bound = max(4.0 * est.std_error, 1e-12)
                 err = abs(est.value - reference)
@@ -218,8 +222,8 @@ def cmd_verify(args) -> int:
     report = {
         "seed": args.seed,
         "samples": args.samples,
-        "nodes": args.nodes,
-        "tolerance": args.tolerance,
+        "nodes": _VERIFY_NODES,
+        "tolerance": _VERIFY_TOLERANCE,
         "grid": [_round12(x) for x in grid],
         "checks": checks,
         "failures": len(failures),
@@ -308,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check closed forms against the oracles")
     _add_grid_flags(p, 0.05, 0.95, 19)
     p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples")
-    p.add_argument("--nodes", type=int, default=64, help="quadrature nodes")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-    p.add_argument("--tolerance", type=float, default=1e-8, help="quadrature tolerance")
     p.add_argument("--output", default=None, help="write the JSON report to a file")
     p.set_defaults(func=cmd_verify)
 

@@ -24,9 +24,6 @@ from .errors import FormatError, NotUnitaryError, ZeroOperatorError
 #: Tolerance on ||u u† - I|| for matrices claimed unitary.
 UNITARITY_TOL = 1e-10
 
-#: Tolerance on entrywise reconstruction kappa * u @ diag(1, lam) @ v == m.
-RECONSTRUCTION_TOL = 1e-12
-
 #: Largest singular value below which an operator counts as zero.
 ZERO_OPERATOR_TOL = 1e-14
 
@@ -93,13 +90,6 @@ def _entries(m) -> list:
     if not all(map(cmath.isfinite, flat)):
         raise FormatError("matrix entries must be finite")
     return flat
-
-
-def as_matrix2(m) -> np.ndarray:
-    """Coerce input to a 2x2 complex ndarray (copy), validating the shape."""
-    arr = np.array(m, dtype=complex)
-    _entries(arr)
-    return arr
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> list:
@@ -197,7 +187,7 @@ def svd2(m) -> Svd2Result:
     flat = _entries(m)
     e = math.frexp(max(map(abs, flat)))[1]
     m00, m01, m10, m11 = (complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in flat)
-    # h = m† m = [[a, b], [conj(b), c]].
+    # h = m† m = [[a, b], [conj(b), c]]; _gram's diagonal would move kappa and lam an ulp.
     a = _norm(m00, m10) ** 2
     c = _norm(m01, m11) ** 2
     b = m00.conjugate() * m01 + m10.conjugate() * m11
@@ -302,8 +292,8 @@ def su2_matrix(params: Su2Params) -> np.ndarray:
 
 def matrix_to_json(m) -> list:
     """Encode a 2x2 complex matrix as nested lists with [re, im] entries, row major."""
-    m = as_matrix2(m)
-    return [[[m[i, j].real, m[i, j].imag] for j in range(2)] for i in range(2)]
+    flat = _entries(m)
+    return [[[x.real, x.imag] for x in flat[i : i + 2]] for i in (0, 2)]
 
 
 def matrix_from_json(payload) -> np.ndarray:
@@ -328,6 +318,9 @@ def matrix_from_json(payload) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise FormatError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise FormatError("matrix entries must be finite") from None
     _entries(out)
     return out

@@ -23,7 +23,7 @@ from .errors import (
     IncompleteSetError,
     InvalidStrengthError,
 )
-from .linalg import Svd2Result, _apply, _gram, as_matrix2, matrix_from_json, matrix_to_json, svd2
+from .linalg import Svd2Result, _apply, _gram, matrix_from_json, matrix_to_json, svd2
 
 #: Tolerance on || sum M† M - I || for complete sets.
 COMPLETENESS_TOL = 1e-10
@@ -111,7 +111,7 @@ class MeasurementOperator:
     __slots__ = ("_matrix", "_canonical")
 
     def __init__(self, matrix):
-        self._matrix = as_matrix2(matrix)
+        self._matrix = np.array(matrix, dtype=complex)
         self._matrix.setflags(write=False)
         self._canonical = svd2(self._matrix)
         if self._canonical.kappa > 1.0 + OPERATOR_NORM_TOL:
@@ -205,9 +205,6 @@ class MeasurementSet:
                 f" > {COMPLETENESS_TOL:.3e}"
             )
 
-    def __len__(self):
-        return len(self.operators)
-
     def to_json(self) -> dict:
         """Serialize as ``{"operators": [...], "labels": [...]}``."""
         return {
@@ -224,7 +221,9 @@ class MeasurementSet:
         if not isinstance(mats, (list, tuple)) or not mats:
             raise FormatError('"operators" must be a non-empty list')
         ops = tuple(MeasurementOperator(matrix_from_json(m)) for m in mats)
-        labels = payload.get("labels") or ()
+        labels = payload.get("labels", [])
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise FormatError('"labels" must be a list of strings')
         return cls(operators=ops, labels=tuple(labels))
 
 

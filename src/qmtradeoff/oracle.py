@@ -103,14 +103,15 @@ def _q(lam: float, u: np.ndarray) -> np.ndarray:
 
 def _outcome_q(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
     """Scaled outcome probability <psi|M†M|psi> / kappa^2 at Bloch vectors r:
-    g0 + g . r, with g0 = (a + c) / 2 kappa^2 and g = (Re b, -Im b, (a - c) / 2)
-    / kappa^2 from linalg._gram's M†M = [[a, b], [conj(b), c]]. Uses the raw
-    matrix, so any right unitary factor shows up pointwise (its effect must —
-    and does — wash out of uniform averages)."""
+    g0 + g . r, with (g0, g) the Pauli coefficients of linalg._gram's
+    M†M = [[a, b], [conj(b), c]] over kappa^2. Uses the raw matrix, so any
+    right unitary factor shows up pointwise (its effect must — and does —
+    wash out of uniform averages)."""
     a, c, b = _gram(op.matrix)
+    g0, g = _pauli(((a, b), (b.conjugate(), c)))
     k2 = op.kappa * op.kappa
-    y = np.dot(np.array([b.real, -b.imag, 0.5 * (a - c)]) / k2, r)
-    y += 0.5 * (a + c) / k2
+    y = np.dot(np.array([x.real for x in g]) / k2, r)
+    y += g0.real / k2
     return y
 
 

@@ -24,7 +24,6 @@ from qmtradeoff.analytics import (
     fidelity_of_operator,
     information_gain,
     optimal_fidelity,
-    outcome_probability_total,
     reversibility,
     tradeoff_record,
 )
@@ -289,10 +288,15 @@ class TestRecordsAndTotals:
         assert rec.eff_reversibility == efficiency_reversibility(0.5)
 
     def test_outcome_probability_total(self):
-        assert outcome_probability_total(1.0, 1.0) == 1.0
-        assert outcome_probability_total(1.0, 0.0) == 0.5
-        assert outcome_probability_total(0.8, 0.5) == pytest.approx(0.4, abs=1e-15)
-        assert outcome_probability_total(0.6, 0.5) == pytest.approx(0.36 * 0.625)
+        """p(m) = kappa_m^2 (1 + lam_m^2) / 2 for each outcome of a set."""
+        for (lam0, kappa0), p0 in [
+            ((0.0, 1.0), 0.5),
+            ((1.0, 0.6), 0.36),
+            ((0.5, 0.8), 0.4),
+            ((0.5, 0.6), 0.36 * 0.625),
+        ]:
+            probs = averaged_quantities(two_outcome_family(lam0, kappa0)).outcome_probabilities
+            assert probs == pytest.approx((p0, 1.0 - p0), abs=1e-15)
 
     def test_total_probability_matches_sphere_average(self):
         """kappa^2 qbar really is the sphere-averaged outcome probability."""

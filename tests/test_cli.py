@@ -227,6 +227,7 @@ class TestVerify:
         assert list(report) == ["seed", "samples", "nodes", "tolerance", "grid", "checks",
                                 "failures", "passed", "batch"]
         assert report["batch"] == "per-run"
+        assert '  "nodes": 64,\n  "tolerance": 1e-08,\n' in out
         assert report["passed"] is True
         assert report["failures"] == 0
         assert report["seed"] == 20260819
@@ -368,6 +369,12 @@ class TestVerify:
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [("--nodes", "8"), ("--tolerance", "1")])
+    def test_quadrature_settings_are_not_options(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.ARGS, *flag])
         assert exc.value.code == 2
 
     def test_zero_strength_skips_reversibility(self, capsys):
@@ -604,6 +611,30 @@ class TestAverage:
         assert float(vals["reversibility"]) == pytest.approx(
             direct.reversibility, abs=1e-11
         )
+
+
+@pytest.mark.parametrize("command", ["analyze", "average"])
+def test_integer_beyond_float_range_is_format_error(capsys, tmp_path, command):
+    matrix = "[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"
+    path = tmp_path / "input.json"
+    path.write_text(matrix if command == "analyze" else '{"operators": [' + matrix + "]}")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "average"])
+@pytest.mark.parametrize(
+    "text",
+    ["[1" + "0" * 5000 + "]", "[" * 100_000 + "]" * 100_000],
+    ids=["over-long-integer", "deeply-nested"],
+)
+def test_undecodable_json_is_format_error(capsys, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["analyze", "average"])

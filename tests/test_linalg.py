@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmtradeoff import linalg, measurement
+from qmtradeoff import linalg
 from qmtradeoff.errors import FormatError, NotUnitaryError, ZeroOperatorError
 from qmtradeoff.linalg import (
     DEGENERACY_TOL,
     GAUGE_TIE_TOL,
     ZERO_OPERATOR_TOL,
     Su2Params,
-    as_matrix2,
     matrix_from_json,
     matrix_to_json,
     su2_matrix,
@@ -150,7 +149,7 @@ def svd2_reference(m):
     """The NumPy formulation of :func:`svd2`: the same algorithm and guards
     on 2x2 ndarrays, with ``@``, ``np.linalg.norm``, ``column_stack`` and
     ``vstack`` in place of scalar arithmetic. Returns (kappa, lam, u, v)."""
-    m = as_matrix2(m)
+    m = np.array(m, dtype=complex)
     e = math.frexp(max(map(abs, m.flat)))[1]
     m = np.ldexp(m.view(float), -e).view(complex)
     h = m.conj().T @ m
@@ -191,7 +190,7 @@ def su2_params_reference(u):
     """The NumPy formulation of :func:`su2_params` (``np.linalg.det`` and
     array arithmetic), with the same pin of alpha to +pi/2 on the negative
     real axis."""
-    u = as_matrix2(u)
+    u = np.array(u, dtype=complex)
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-10
     det = np.linalg.det(u)
     if det.real < 0.0 and abs(det.imag) <= GAUGE_TIE_TOL * abs(det):
@@ -397,7 +396,7 @@ class TestAlgebraHelpers:
 
 class TestEntries:
     """svd2 and su2_params read the four entries without copying the input,
-    and keep the shape and finiteness errors of as_matrix2."""
+    and keep the shape and finiteness errors of linalg._entries."""
 
     @pytest.mark.parametrize(
         "m, message",
@@ -410,24 +409,24 @@ class TestEntries:
         ],
     )
     def test_keep_input_errors(self, m, message):
-        for fn in (as_matrix2, svd2, su2_params, MeasurementOperator):
+        for fn in (matrix_to_json, svd2, su2_params, MeasurementOperator):
             with pytest.raises(FormatError) as exc:
                 fn(m)
             assert str(exc.value) == message, fn.__name__
 
     def test_operator_copies_its_input_once(self, monkeypatch):
         calls = []
+        entries = linalg._entries
 
         def counting(m):
             calls.append(m)
-            return as_matrix2(m)
+            return entries(m)
 
-        monkeypatch.setattr(linalg, "as_matrix2", counting)
-        monkeypatch.setattr(measurement, "as_matrix2", counting)
-        op = MeasurementOperator(HADAMARD_COLUMNS @ np.diag([0.9, 0.3]))
-        su2_params(op.canonical.u)
-        su2_params(op.canonical.v)
-        assert len(calls) == 1
+        monkeypatch.setattr(linalg, "_entries", counting)
+        for m in (HADAMARD_COLUMNS @ np.diag([0.9, 0.3]), np.eye(2), [[0.5, 0.0], [0.0, 0.2]]):
+            calls.clear()
+            MeasurementOperator(m)
+            assert len(calls) == 1
 
     def test_strided_input(self):
         rng = np.random.default_rng(68)
@@ -468,6 +467,11 @@ class TestJson:
     def test_rejects_non_finite(self):
         with pytest.raises(FormatError):
             matrix_from_json([[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]])
+
+    @pytest.mark.parametrize("entry", [[10**400, 0], [0, -(10**400)]])
+    def test_rejects_integer_beyond_float_range(self, entry):
+        with pytest.raises(FormatError, match="^matrix entries must be finite$"):
+            matrix_from_json([[entry, [0, 0]], [[0, 0], [1, 0]]])
 
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

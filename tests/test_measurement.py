@@ -180,6 +180,22 @@ class TestMeasurementSet:
         for a, b in zip(clone.operators, mset.operators):
             np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize(
+        "labels", ["ab", {"a": 0, "b": 1}, [None, None], ["a", 1], ("a", "b"), None]
+    )
+    def test_labels_must_be_a_list_of_strings(self, labels):
+        payload = two_outcome_family(0.5, 0.9).to_json()
+        payload["labels"] = labels
+        with pytest.raises(FormatError, match='^"labels" must be a list of strings$'):
+            MeasurementSet.from_json(payload)
+
+    def test_labels_are_optional(self):
+        payload = two_outcome_family(0.5, 0.9).to_json()
+        del payload["labels"]
+        assert MeasurementSet.from_json(payload).labels == ("0", "1")
+        payload["labels"] = []
+        assert MeasurementSet.from_json(payload).labels == ("0", "1")
+
 
 def check_completeness_reference(operators):
     """The NumPy formulation of :func:`check_completeness`: the summed Gram
