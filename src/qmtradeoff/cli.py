@@ -27,7 +27,9 @@ Exit codes: 0 success / all checks passed; 1 verification failure;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -94,13 +96,46 @@ def _lambda_grid(args, min_points: int = 2) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _write_output(path, text: str) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout if there is none."""
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """Encoder whose item separator ends a line and indents the next to ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _json_pieces(value, head: str = "", depth: int = 0):
+    """Yield ``head`` and the text that :func:`json.dumps` makes of ``value``
+    with an indent of 2, nested ``depth`` levels deep, in pieces.
+
+    An ``indent`` makes :mod:`json` use its pure-Python encoder, which builds
+    the whole text from small strings. So only a container that holds a
+    non-empty container is laid out here. Every other value is encoded in
+    one call of the C encoder, with an item separator that carries the
+    newline and the indent; that is exact because an encoded string holds no
+    raw newline. Keys must be ``str``.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    is_dict = isinstance(value, dict)
+    members = value.values() if is_dict else value if isinstance(value, list) else ()
+    if not any(isinstance(m, (dict, list)) and m for m in members):
+        text = _flat_encoder(depth + 1).encode(value)
+        if members:
+            text = text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+        yield head + text
+        return
+    keys = (json.dumps(k) + ": " if is_dict else "" for k in value)
+    sep = head + ("{" if is_dict else "[") + inner
+    for key, member in zip(keys, members):
+        yield from _json_pieces(member, sep + key, depth + 1)
+        sep = "," + inner
+    yield inner[:-2] + ("}" if is_dict else "]")
+
+
+def _write_output(path, pieces) -> None:
+    """Write the text in ``pieces`` and a final newline to the file at
+    ``path``, or to stdout if there is none."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def cmd_sweep(args) -> int:
@@ -111,15 +146,15 @@ def cmd_sweep(args) -> int:
         lines = [",".join(_SWEEP_COLUMNS)]
         for rec in records:
             lines.append(",".join(_fmt(x) for x in _sweep_row(rec)))
-        text = "\n".join(lines) + "\n"
+        pieces = ["\n".join(lines)]
     else:
         payload = [
             {key: _round12(x) for key, x in zip(_SWEEP_COLUMNS, _sweep_row(rec))}
             for rec in records
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        pieces = _json_pieces(payload)
 
-    _write_output(args.output, text)
+    _write_output(args.output, pieces)
     return 0
 
 
@@ -163,8 +198,10 @@ def cmd_verify(args) -> int:
     # different lam are correlated, so one unlucky batch fails a band of lam.
     r = oracle.sample_bloch_vectors(rng, args.samples)
     checks = []
+    lams = grid.tolist()
+    lams12 = [_round12(lam) for lam in lams]
 
-    for lam in grid:
+    for lam, lam12 in zip(lams, lams12):
         op = MeasurementOperator(np.diag([1.0, lam]))
         per_lambda_ok = 0
         per_lambda_run = 0
@@ -174,7 +211,7 @@ def cmd_verify(args) -> int:
                 # Nothing to reverse: the operator annihilates a state.
                 checks.append(
                     {
-                        "lambda": _round12(lam),
+                        "lambda": lam12,
                         "quantity": quantity,
                         "method": "skipped",
                         "note": "irreversible",
@@ -196,7 +233,7 @@ def cmd_verify(args) -> int:
                 ok = err <= bound
                 checks.append(
                     {
-                        "lambda": _round12(lam),
+                        "lambda": lam12,
                         "quantity": quantity,
                         "method": est.method,
                         "value": est.value,
@@ -224,13 +261,13 @@ def cmd_verify(args) -> int:
         "samples": args.samples,
         "nodes": _VERIFY_NODES,
         "tolerance": _VERIFY_TOLERANCE,
-        "grid": [_round12(x) for x in grid],
+        "grid": lams12,
         "checks": checks,
         "failures": len(failures),
         "passed": passed,
         "batch": "per-run",
     }
-    _write_output(args.output, json.dumps(report, indent=2) + "\n")
+    _write_output(args.output, _json_pieces(report))
 
     if passed:
         print(f"verify: PASS ({len(run)}/{len(run)} checks)", file=sys.stderr)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmtradeoff import cli, errors
 from qmtradeoff.errors import DegenerateSampleError
@@ -46,6 +48,12 @@ def run(capsys, *argv):
 def write_matrix(path, m):
     path.write_text(json.dumps(matrix_to_json(np.asarray(m, dtype=complex))))
     return str(path)
+
+
+def assert_stdlib_layout(text):
+    """``text`` is laid out as the standard library's indenting encoder
+    lays out the same JSON."""
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def parsed_keyvals(out):
@@ -296,10 +304,12 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert report["failures"] >= 2  # at least the quadrature checks
+        assert_stdlib_layout(out)
 
     def test_degenerate_sample_is_usage_error(self, capsys, monkeypatch):
         """An estimator whose sample average of q is not positive makes
-        verify exit 2 with an error line, not a traceback."""
+        verify exit 2 with an error line, not a traceback, and with nothing
+        on stdout: the report is written only after the lambda loop."""
 
         def degenerate(op, r):
             raise DegenerateSampleError("sample average of q is not positive")
@@ -399,6 +409,7 @@ class TestVerify:
         assert len(skipped) == 1
         assert skipped[0]["quantity"] == "reversibility"
         assert skipped[0]["note"] == "irreversible"
+        assert_stdlib_layout(out)
 
     def test_tiny_strength_skips_reversibility(self, capsys):
         """Every lam below the reversal threshold 1e-14 is irreversible, not
@@ -427,6 +438,54 @@ class TestVerify:
         progress = [line.split()[0] for line in err.splitlines() if line.startswith("lambda=")]
         assert progress == [f"lambda={x:.12g}" for x in np.linspace(0.0, 1e-12, 5)]
         assert len(set(progress)) == 5
+
+
+_STRINGS = st.text() | st.sampled_from(["", "\n", '"', "\\", "λ ≤ 1", 'a\n"b\\c\u00e9\U0001f600'])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300, 1e16])
+    | _STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """verify and sweep write JSON through cli's own writer, which must give
+    the bytes of the standard library's indenting encoder without using it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_matches_the_indenting_encoder(self, value):
+        assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--lambda-min", "0", "--lambda-max", "1", "--points", "1001",
+             "--samples", "2000", "--seed", "1"),
+            ("sweep", "--format", "json"),
+        ],
+        ids=["verify-dense", "sweep-json"],
+    )
+    def test_never_uses_the_pure_python_encoder(self, capsys, monkeypatch, argv):
+        """The pure-Python encoder builds the whole text from small strings;
+        the C encoder needs none of it."""
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", unavailable)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        monkeypatch.undo()
+        assert_stdlib_layout(out)
 
 
 class TestSimulateReversal:

@@ -640,6 +640,20 @@ class TestMomentForm:
         monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
         assert abs(quadrature_fidelity(self.OP).value - reference) > 1e-8
 
+    @pytest.mark.parametrize("wrong", ["flipped_trace", "right_factor", "squared_core"])
+    def test_wrong_integrand_fails_the_monte_carlo_gate(self, monkeypatch, wrong):
+        """Power: the Monte Carlo fidelity with a wrong integrand misses the
+        closed form by more than verify's 4 sigma, at the 2000 samples of the
+        dense verify. The slips move the fidelity by -0.26, -0.13 and -0.14,
+        which is 62, 20 and 23 sigma on this batch."""
+        r = bloch(1, 2000)
+        reference = analytics.fidelity_of_operator(self.OP)
+        est = estimate_fidelity(self.OP, r)
+        assert abs(est.value - reference) <= 4.0 * est.std_error
+        monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
+        est = estimate_fidelity(self.OP, r)
+        assert abs(est.value - reference) > 4.0 * est.std_error
+
 
 class TestNodeCache:
     """The graded Gauss-Legendre rules and the tensor rule's moments are
