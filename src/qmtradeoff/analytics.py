@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IncompleteSetError
-from .linalg import _mul, su2_params
+from .linalg import su2_params
 from .measurement import MeasurementOperator, MeasurementSet
 
 LN2 = math.log(2.0)
@@ -242,11 +242,8 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
 
     Each outcome is weighted by its total probability
     ``p(m) = kappa_m^2 (1 + lam_m^2) / 2`` (these sum to 1 for a complete
-    set, enforced to 1e-10). The set-level fidelity is the physical mean
-    operation fidelity: for an outcome factored as ``kappa u D v`` the
-    squared pre/post overlap averages to the closed form evaluated with the
-    angles of ``v @ u`` — the right factor rotates the input state, so it
-    re-enters here, unlike in the single-outcome relabeling convention.
+    set, enforced to 1e-10). The set-level fidelity is the mean operation
+    fidelity ``(2 + sum_m |tr M_m|^2) / 6``.
 
     The mean reversibility is computed both as ``sum p(m) R(lam_m)`` and in
     the equivalent direct form ``sum kappa_m^2 lam_m^2``; the two must agree
@@ -254,7 +251,7 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
     """
     probs = []
     info = 0.0
-    fid = 0.0
+    traces = 0.0
     rev_weighted = 0.0
     rev_direct = 0.0
     for op in mset.operators:
@@ -262,8 +259,8 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
         p = 0.5 * canon.kappa * canon.kappa * (1.0 + canon.lam * canon.lam)
         probs.append(p)
         info += p * information_gain(canon.lam)
-        ang = su2_params(_mul(canon.v, canon.u))
-        fid += p * fidelity_closed(canon.lam, ang.beta, ang.gamma)
+        m00, _, _, m11 = op.matrix.ravel().tolist()
+        traces += abs(m00 + m11) ** 2
         rev_weighted += p * reversibility(canon.lam)
         rev_direct += (canon.kappa * canon.lam) ** 2
     total = sum(probs)
@@ -278,7 +275,7 @@ def averaged_quantities(mset: MeasurementSet) -> AveragedQuantities:
         )
     return AveragedQuantities(
         info=info,
-        fidelity=fid,
+        fidelity=(2.0 + traces) / 6.0,
         reversibility=rev_weighted,
         outcome_probabilities=tuple(probs),
     )

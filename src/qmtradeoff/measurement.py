@@ -31,8 +31,11 @@ COMPLETENESS_TOL = 1e-10
 #: Allowed overshoot of the operator norm above 1.
 OPERATOR_NORM_TOL = 1e-12
 
-#: Probability round-off this far outside [0, 1] is clamped; beyond it, raised.
+#: Probability round-off this far below 0 is clamped; beyond it, raised.
 PROBABILITY_CLAMP = 1e-12
+
+# Above 1, round-off up to the square of the largest accepted norm, plus a few ulps.
+_PROBABILITY_CEILING = (1.0 + OPERATOR_NORM_TOL) ** 2 + 4 * math.ulp(1.0)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -146,7 +149,7 @@ class MeasurementOperator:
 def _clamp_probability(p: float) -> float:
     if -PROBABILITY_CLAMP <= p < 0.0:
         return 0.0
-    if 1.0 < p <= 1.0 + PROBABILITY_CLAMP:
+    if 1.0 < p <= _PROBABILITY_CEILING:
         return 1.0
     if p < 0.0 or p > 1.0:
         raise ArithmeticError(f"probability {p!r} outside [0, 1] beyond round-off")

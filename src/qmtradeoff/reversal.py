@@ -137,8 +137,8 @@ def simulate_reversal(
 
     recovered_min = 1.0
     if successes:
-        recovered_state = PureState.from_amplitudes(recovered)
-        recovered_min = state.overlap(recovered_state)
+        (a0, a1), (r0, r1) = state._pair(), recovered
+        recovered_min = min(abs(a0 * r0 + a1.conjugate() * r1) / _norm(r0, r1), 1.0)
         if recovered_min < 1.0 - RECOVERY_OVERLAP_TOL:
             raise ArithmeticError(
                 f"successful reversal left overlap {recovered_min!r} < 1 - 1e-10"

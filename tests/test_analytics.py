@@ -28,7 +28,7 @@ from qmtradeoff.analytics import (
     tradeoff_record,
 )
 from qmtradeoff.errors import DomainError
-from qmtradeoff.linalg import Su2Params, su2_matrix
+from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
 from qmtradeoff.measurement import (
     MeasurementOperator,
     MeasurementSet,
@@ -319,7 +319,7 @@ class TestAveragedQuantities:
         mset = MeasurementSet(operators=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         avg = averaged_quantities(mset)
         assert avg.info == pytest.approx(INFO_AT_ZERO, abs=1e-12)
-        assert avg.fidelity == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert avg.fidelity == 2.0 / 3.0
         assert avg.reversibility == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(avg.outcome_probabilities, [0.5, 0.5], atol=1e-14)
 
@@ -327,7 +327,7 @@ class TestAveragedQuantities:
         mset = MeasurementSet(operators=(np.eye(2),))
         avg = averaged_quantities(mset)
         assert avg.info == pytest.approx(0.0, abs=1e-15)
-        assert avg.fidelity == pytest.approx(1.0, abs=1e-15)
+        assert avg.fidelity == 1.0
         assert avg.reversibility == pytest.approx(1.0, abs=1e-15)
 
     def test_two_outcome_family_interpolates(self):
@@ -337,6 +337,45 @@ class TestAveragedQuantities:
         assert 2.0 / 3.0 < avg.fidelity < 1.0
         assert 0.0 < avg.reversibility < 1.0
         assert sum(avg.outcome_probabilities) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def random_sets(n, seed):
+        """``n`` complete two-outcome sets: the 2x2 blocks of Q from a QR of a
+        4x2 complex Gaussian, so Q† Q = I and both right factors are generic."""
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+            yield MeasurementSet(operators=(q[:2], q[2:]))
+
+    @staticmethod
+    def angle_form(mset, left):
+        """sum_m p_m fidelity_closed(lam_m, angles of left(canonical_m))."""
+        total = 0.0
+        for op in mset.operators:
+            canon = op.canonical
+            ang = su2_params(left(canon))
+            p = 0.5 * canon.kappa**2 * (1.0 + canon.lam**2)
+            total += p * fidelity_closed(canon.lam, ang.beta, ang.gamma)
+        return total
+
+    def test_set_fidelity_matches_angle_form(self):
+        """The trace form (2 + sum_m |tr M_m|^2) / 6 against the paper's
+        per-outcome closed form, evaluated with the angles of v_m @ u_m: the
+        right factor rotates the input state before the left one acts."""
+        worst = max(
+            abs(averaged_quantities(mset).fidelity - self.angle_form(mset, lambda c: c.v @ c.u))
+            for mset in self.random_sets(300, seed=3)
+        )
+        assert worst <= 1e-15
+
+    def test_set_fidelity_misses_angle_form_without_right_factor(self):
+        """Negative control: the angles of u_m alone, the single-outcome
+        relabeling convention, miss the set fidelity on every set."""
+        nearest = min(
+            abs(averaged_quantities(mset).fidelity - self.angle_form(mset, lambda c: c.u))
+            for mset in self.random_sets(300, seed=3)
+        )
+        assert nearest > 1e-3
 
     def test_reversibility_average_has_closed_total(self):
         """Outcome-weighted reversibility collapses to a sum of squared

@@ -1,14 +1,18 @@
-"""Relative error budget of the closed forms against 50-digit references.
+"""Error budget of the closed forms and of the quadrature oracles against
+high-precision references.
 
-The references are written from the formulas in the README, not from
-``qmtradeoff.analytics``, and evaluated with ``mpmath`` at 50 digits on the
-exact binary value of each float ``lam``.
+The closed-form references are written from the formulas in the README, not
+from ``qmtradeoff.analytics``, and evaluated with ``mpmath`` at 50 digits on
+the exact binary value of each float ``lam``. The quadrature references are
+the defining Bloch-sphere averages, integrated by ``mpmath.quad``.
 """
 
 import mpmath
 import numpy as np
 
-from qmtradeoff import analytics
+from qmtradeoff import analytics, oracle
+from qmtradeoff.measurement import MeasurementOperator
+from qmtradeoff.reversal import REVERSIBLE_LAM_TOL
 from qmtradeoff.analytics import (
     efficiency_fidelity,
     efficiency_reversibility,
@@ -79,3 +83,88 @@ def test_closed_forms_within_budget():
             if not rel <= BUDGET:
                 over.append((form.__name__, lam, value, rel))
     assert not over, over[:10]
+
+
+# The quadratures, 64 nodes as in verify. The information quadrature is
+# within 3.2e-15 relative at lam <= 1e-9 and 8.8e-16 absolute everywhere; its
+# relative error grows like eps / I toward lam = 1 (6.6e-12 at lam = 0.99,
+# where I = 2.4e-5), so near there the bound is absolute. The fidelity and
+# reversibility quadratures are within 1.5e-15 relative.
+QUAD_BUDGET = 1e-14
+QUAD_INFO_FLOOR = 1e-15
+QUAD_LAMS = [0.0, 1e-300, 1e-9, 0.05, 0.5, 0.99, 1.0, *np.linspace(0.0, 1.0, 41).tolist()]
+
+
+def diagonal(lam):
+    """The operator diag(1, lam), as verify builds it."""
+    return MeasurementOperator(np.diag([1.0, lam]))
+
+
+def sphere_mean_of_q(lam):
+    """Mean over the sphere of q = <psi|D^2|psi>, D = diag(1, lam), and q as a
+    function of u = cos(theta), on which alone it depends."""
+    x2 = MP.mpf(lam) ** 2
+
+    def q(u):
+        return (1 + x2) / 2 + (1 - x2) / 2 * u
+
+    return MP.quad(q, [-1, 1]) / 2, q
+
+
+def test_information_quadrature_within_budget():
+    """I = <q log2 q> / <q> - log2 <q>, with q log2 q taken as 0 at q = 0."""
+    over = []
+    with MP.workdps(30):
+        for lam in QUAD_LAMS:
+            qbar, q = sphere_mean_of_q(lam)
+
+            def qlog2q(u):
+                y = q(u)
+                return y * MP.log(y, 2) if y > 0 else 0
+
+            ref = MP.quad(qlog2q, [-1, 1]) / 2 / qbar - MP.log(qbar, 2)
+            value = oracle.quadrature_information(diagonal(lam)).value
+            err = abs(MP.mpf(value) - ref)
+            if not err <= max(QUAD_BUDGET * ref, QUAD_INFO_FLOOR):
+                over.append((lam, value, float(err)))
+    assert not over, over
+
+
+def test_reversibility_quadrature_within_budget():
+    """R = lam^2 / <q>: each outcome on psi is undone with probability lam^2 / q."""
+    over = []
+    with MP.workdps(30):
+        for lam in QUAD_LAMS:
+            if lam < REVERSIBLE_LAM_TOL:
+                continue
+            ref = MP.mpf(lam) ** 2 / sphere_mean_of_q(lam)[0]
+            value = oracle.quadrature_reversibility(diagonal(lam)).value
+            if not abs(MP.mpf(value) - ref) <= QUAD_BUDGET * ref:
+                over.append((lam, value, float(ref)))
+    assert not over, over
+
+
+def test_fidelity_quadrature_within_budget():
+    """F = <|<psi|u D|psi>|^2> / <q> for the canonical left factor u of a
+    generic operator, integrated over theta and phi, where the integrand is
+    a trigonometric polynomial (20 digits, a few tenths of a second each)."""
+    rng = np.random.default_rng(20261017)
+    over = []
+    with MP.workdps(20):
+        for lam in QUAD_LAMS[:7]:
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            op = MeasurementOperator(np.linalg.qr(g)[0] @ np.diag([1.0, lam]))
+            (a, b), (c, d) = (op.canonical.u * [1.0, op.lam]).tolist()
+
+            def weight(theta, phi):
+                p0, p1 = MP.cos(theta / 2), MP.sin(theta / 2) * MP.expj(phi)
+                z = p0 * (a * p0 + b * p1) + MP.conj(p1) * (c * p0 + d * p1)
+                return (z.real**2 + z.imag**2) * MP.sin(theta)
+
+            sphere = [0, MP.pi], [0, 2 * MP.pi]
+            zbar = MP.quad(weight, *sphere, method="gauss-legendre") / (4 * MP.pi)
+            ref = zbar / sphere_mean_of_q(op.lam)[0]
+            value = oracle.quadrature_fidelity(op).value
+            if not abs(MP.mpf(value) - ref) <= QUAD_BUDGET * ref:
+                over.append((lam, value, float(ref)))
+    assert not over, over

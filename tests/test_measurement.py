@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qmtradeoff.errors import DomainError, FormatError, IncompleteSetError, InvalidStrengthError
 from qmtradeoff.measurement import (
+    OPERATOR_NORM_TOL,
+    PROBABILITY_CLAMP,
     MeasurementOperator,
     MeasurementSet,
     PureState,
@@ -301,6 +303,19 @@ class TestScalarBodies:
                     p, ref = outcome_probability(op, state), outcome_probability_reference(op, state)
                     assert 0.0 <= p <= 1.0
                     assert abs(p - ref) <= 1e-15
+
+    def test_probability_clamp_covers_the_accepted_norm(self):
+        """MeasurementOperator accepts a norm up to 1 + OPERATOR_NORM_TOL, so
+        p may exceed 1 by up to about twice that; round-off beyond it, or
+        below 0 by more than PROBABILITY_CLAMP, still raises."""
+        op = MeasurementOperator(np.diag([1.0 + 0.9e-12, 0.5]))
+        assert outcome_probability(op, PureState(theta=0.0)) == 1.0
+        edge = (1.0 + OPERATOR_NORM_TOL) ** 2
+        assert _clamp_probability(edge) == 1.0
+        assert _clamp_probability(-PROBABILITY_CLAMP) == 0.0
+        for p in (edge + 1e-14, -2.0 * PROBABILITY_CLAMP):
+            with pytest.raises(ArithmeticError, match="beyond round-off"):
+                _clamp_probability(p)
 
     def test_orthogonal_state_has_probability_zero(self):
         rng = np.random.default_rng(3200)

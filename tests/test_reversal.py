@@ -95,15 +95,30 @@ class TestScalarReversing:
 
     def test_failed_recovery_raises(self, monkeypatch):
         """Negative control of the recovery check: an R0 with its diag(lam, 1)
-        swapped does not restore the state, and simulate_reversal says so."""
+        swapped does not restore the state, and neither does R0 behind a
+        relative phase diag(1, i), which keeps the norm and so the success
+        rate: only the overlap check can catch it. simulate_reversal says so."""
         op = make_operator(0.9, 0.4, seed=5)
         canon = op.canonical
         swapped = canon.v.conj().T @ np.diag([1.0, canon.lam]) @ canon.u.conj().T
-        monkeypatch.setattr(
-            reversal, "optimal_reversing", lambda op: ReversingMeasurement(swapped, 0.36)
-        )
-        with pytest.raises(ArithmeticError, match="successful reversal left overlap"):
-            simulate_reversal(op, PureState(theta=1.2, phi=0.3), 100, np.random.default_rng(2))
+        phased = np.diag([1.0, 1j]) @ optimal_reversing(op).matrix
+        state = PureState(theta=1.2, phi=0.3)
+        for bad in (swapped, phased):
+            rev = ReversingMeasurement(bad, 0.36)
+            monkeypatch.setattr(reversal, "optimal_reversing", lambda op, rev=rev: rev)
+            with pytest.raises(ArithmeticError, match="successful reversal left overlap"):
+                simulate_reversal(op, state, 100, np.random.default_rng(2))
+
+    def test_operator_at_the_norm_tolerance(self):
+        """An operator whose norm exceeds 1 by less than OPERATOR_NORM_TOL is
+        accepted, and p = |M psi|^2 along its strong direction exceeds 1 by
+        about twice that; it is clamped to 1, not raised."""
+        op = MeasurementOperator(np.diag([1.0 + 0.9e-12, 0.5]))
+        state = PureState(theta=0.0)
+        assert reversal_success_probability(op, state) == pytest.approx(0.25, abs=1e-15)
+        stats = simulate_reversal(op, state, 1000, np.random.default_rng(0))
+        assert stats.predicted_rate == pytest.approx(0.25, abs=1e-15)
+        assert stats.recovered_fidelity_min == pytest.approx(1.0, abs=1e-15)
 
 
 class TestOptimalReversing:
