@@ -11,7 +11,6 @@ quadrature) that verify every closed form numerically.
 
 from .analytics import (
     EFF_FIDELITY_AT_ONE,
-    EFF_FIDELITY_AT_ZERO,
     INFO_AT_ZERO,
     AveragedQuantities,
     TradeoffRecord,
@@ -78,7 +77,6 @@ __all__ = [
     "DegenerateSampleError",
     "DomainError",
     "EFF_FIDELITY_AT_ONE",
-    "EFF_FIDELITY_AT_ZERO",
     "Estimate",
     "FormatError",
     "INFO_AT_ZERO",

@@ -33,8 +33,7 @@ LN2 = math.log(2.0)
 #: Information gain of a projective measurement, in bits: 1 - 1/(2 ln 2).
 INFO_AT_ZERO = 1.0 - 1.0 / (2.0 * LN2)
 
-#: Fidelity-efficiency endpoints: 3*(1 - 1/(2 ln 2)) at lam=0, 1/ln 2 at lam=1.
-EFF_FIDELITY_AT_ZERO = 3.0 * INFO_AT_ZERO
+#: Fidelity-efficiency limit at lam=1: 1/ln 2.
 EFF_FIDELITY_AT_ONE = 1.0 / LN2
 
 # Taylor coefficients of the information gain about lam = 1, in powers of

@@ -69,30 +69,6 @@ class PureState:
         half = 0.5 * self.theta
         return math.cos(half), cmath.rect(math.sin(half), self.phi)
 
-    @classmethod
-    def from_amplitudes(cls, vec) -> "PureState":
-        """Build from a 2-component complex vector, removing norm and global phase."""
-        arr = np.asarray(vec, dtype=complex).reshape(-1)
-        if arr.shape != (2,):
-            raise FormatError("amplitude vector must have exactly 2 components")
-        a0, a1 = arr.tolist()
-        norm = math.hypot(a0.real, a0.imag, a1.real, a1.imag)
-        if norm < 1e-14:
-            raise DomainError("cannot normalize a zero state vector")
-        a0, a1 = a0 / norm, a1 / norm
-        theta = 2.0 * math.atan2(abs(a1), abs(a0))
-        phi = 0.0
-        if abs(a1) > 1e-15:
-            phi = math.atan2(a1.imag, a1.real)
-            if abs(a0) > 1e-15:
-                phi -= math.atan2(a0.imag, a0.real)
-        return cls(theta=theta, phi=phi)
-
-    def overlap(self, other: "PureState") -> float:
-        """|<self|other>|, in [0, 1]."""
-        (a0, a1), (b0, b1) = self._pair(), other._pair()
-        return min(abs(a0 * b0 + a1.conjugate() * b1), 1.0)
-
 
 class MeasurementOperator:
     """A single Kraus operator with its cached canonical factorization.

@@ -56,6 +56,9 @@ from .reversal import _check_reversible
 
 _JACKKNIFE_BLOCKS = 100
 
+#: Gauss-Legendre nodes of every quadrature rule, per subinterval in u.
+NODES = 64
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -251,18 +254,12 @@ def estimate_reversibility(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     )
 
 
-def _check_nodes(nodes: int) -> int:
-    if not isinstance(nodes, (int, np.integer)) or nodes < 8:
-        raise DomainError(f"need at least 8 quadrature nodes, got {nodes!r}")
-    return int(nodes)
-
-
 @functools.lru_cache
-def _gauss_legendre(nodes: int, depth: int) -> tuple:
-    """Read-only nodes and weights of the ``nodes``-point Gauss-Legendre rule
+def _gauss_legendre(depth: int) -> tuple:
+    """Read-only nodes and weights of the ``NODES``-point Gauss-Legendre rule
     mapped onto each subinterval of [-1, 1] between the breakpoints -1,
     -1 + 2 * 8^-k for k = depth, ..., 1, and 1; depth 0 is the plain rule."""
-    x, w = leggauss(nodes)
+    x, w = leggauss(NODES)
     edges = np.concatenate(([-1.0], -1.0 + 2.0 * 8.0 ** -np.arange(depth, 0, -1), [1.0]))
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -270,32 +267,31 @@ def _gauss_legendre(nodes: int, depth: int) -> tuple:
 
 
 @functools.lru_cache
-def _moments(nodes: int) -> tuple:
+def _moments() -> tuple:
     """Second moments M of x = (1, r) under the fidelity tensor rule, a symmetric
     4x4 tuple of floats: x = f(u) h(phi), so each is a u sum times a phi mean."""
-    u, w = _gauss_legendre(nodes, 0)
-    phi = np.arange(2 * nodes) * (math.pi / nodes)
+    u, w = _gauss_legendre(0)
+    phi = np.arange(2 * NODES) * (math.pi / NODES)
     s = np.sqrt((1.0 - u) * (1.0 + u))
     f, h = np.array([u**0, s, s, u]), np.array([phi**0, np.cos(phi), np.sin(phi), phi**0])
     m = np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)
     return tuple(map(tuple, m.tolist()))
 
 
-def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate:
+def quadrature_information(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
     q log2 q is not analytic at the zero of q, which lies about 2 lam^2
     beyond u = -1, so a single rule converges slowly at small lam. The
-    ``nodes``-point rule is therefore applied on subintervals graded toward
+    ``NODES``-point rule is therefore applied on subintervals graded toward
     u = -1, K = ceil(log_8(1 / lam^2)) of them below u = -3/4, so that the
     innermost one is no wider than that distance (``samples`` counts every
     node). K stops growing where 1 + lam^2 rounds to 1: from there on q is
     q at lam = 0, and q log2 q is taken as 0 where q vanishes.
     """
-    nodes = _check_nodes(nodes)
     lam = op.lam
     depth = math.ceil(math.log(1.0 / max(lam * lam, 2.0**-53), 8))
-    u, w = _gauss_legendre(nodes, depth)
+    u, w = _gauss_legendre(depth)
     q = _q(lam, u)
     qbar = 0.5 * float(np.sum(w * q))
     qlog = 0.5 * float(np.sum(w * _xlog2x(q)))
@@ -303,22 +299,21 @@ def quadrature_information(op: MeasurementOperator, nodes: int = 64) -> Estimate
     return Estimate(value=value, std_error=0.0, samples=q.size, method="quadrature")
 
 
-def quadrature_fidelity(op: MeasurementOperator, nodes: int = 64) -> Estimate:
+def quadrature_fidelity(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean-fidelity average.
 
-    Tensor rule: ``nodes`` Gauss-Legendre points in u times ``2 * nodes``
+    Tensor rule: ``NODES`` Gauss-Legendre points in u times ``2 * NODES``
     uniform points in phi, summed as Re(c† M c) over the rule's moments M.
     """
-    nodes = _check_nodes(nodes)
-    m = _moments(nodes)
+    m = _moments()
     b0, b = _amplitude_pauli(op)
     c = (b0,) + b
     zbar = sum((x.conjugate() * sum(a * y for a, y in zip(row, c))).real for x, row in zip(c, m))
     value = zbar / _q(op.lam, m[0][3])
-    return Estimate(value=value, std_error=0.0, samples=2 * nodes * nodes, method="quadrature")
+    return Estimate(value=value, std_error=0.0, samples=2 * NODES * NODES, method="quadrature")
 
 
-def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estimate:
+def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean reversal success probability,
     ``lam^2 / qbar`` with qbar integrated exactly (the integrand is linear
     in u) from the rule's first moment in u.
@@ -328,8 +323,7 @@ def quadrature_reversibility(op: MeasurementOperator, nodes: int = 64) -> Estima
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to evaluate.
     """
-    nodes = _check_nodes(nodes)
     lam = op.lam
     _check_reversible(lam)
-    qbar = _q(lam, _moments(nodes)[0][3])
-    return Estimate(value=lam * lam / qbar, std_error=0.0, samples=nodes, method="quadrature")
+    qbar = _q(lam, _moments()[0][3])
+    return Estimate(value=lam * lam / qbar, std_error=0.0, samples=NODES, method="quadrature")

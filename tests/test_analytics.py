@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from qmtradeoff import analytics
 from qmtradeoff.analytics import (
     EFF_FIDELITY_AT_ONE,
-    EFF_FIDELITY_AT_ZERO,
     INFO_AT_ZERO,
     averaged_quantities,
     efficiency_fidelity,
@@ -236,8 +235,7 @@ class TestReversibility:
 
 class TestEfficiencies:
     def test_fidelity_efficiency_endpoints(self):
-        assert efficiency_fidelity(0.0) == pytest.approx(EFF_FIDELITY_AT_ZERO, abs=0)
-        assert EFF_FIDELITY_AT_ZERO == pytest.approx(3.0 * INFO_AT_ZERO, abs=0)
+        assert efficiency_fidelity(0.0) == pytest.approx(3.0 * INFO_AT_ZERO, abs=0)
         assert efficiency_fidelity(1.0) == EFF_FIDELITY_AT_ONE
         assert EFF_FIDELITY_AT_ONE == pytest.approx(1.0 / math.log(2.0), abs=0)
 

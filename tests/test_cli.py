@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmtradeoff import cli, errors
+from qmtradeoff import cli, errors, oracle
 from qmtradeoff.errors import DegenerateSampleError
 from qmtradeoff.linalg import matrix_to_json
 
@@ -236,6 +236,8 @@ class TestVerify:
                                 "failures", "passed", "batch"]
         assert report["batch"] == "per-run"
         assert '  "nodes": 64,\n  "tolerance": 1e-08,\n' in out
+        op = cli.MeasurementOperator(np.diag([1.0, 0.5]))
+        assert report["nodes"] == oracle.NODES == oracle.quadrature_reversibility(op).samples
         assert report["passed"] is True
         assert report["failures"] == 0
         assert report["seed"] == 20260819
@@ -713,8 +715,9 @@ ERROR_CLASSES = [
 ]
 
 
-@pytest.mark.parametrize("exc", ERROR_CLASSES, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("exc", [*ERROR_CLASSES, MemoryError], ids=lambda e: e.__name__)
 def test_every_package_error_is_usage_error(capsys, monkeypatch, exc):
+    """Each package error, and a count too large to allocate, exits 2."""
     def failing(args):
         raise exc("rejected")
 

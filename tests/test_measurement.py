@@ -21,6 +21,8 @@ from qmtradeoff.measurement import (
 )
 from qmtradeoff.oracle import _q
 
+from state_reference import from_amplitudes_reference
+
 
 def q_value(lam, theta):
     """The package's one q, the oracle's, at the state's polar angle."""
@@ -40,23 +42,6 @@ class TestPureState:
     def test_phi_wraps(self):
         s = PureState(theta=1.0, phi=2.0 * math.pi + 0.25)
         assert s.phi == pytest.approx(0.25)
-
-    def test_from_amplitudes_normalizes_and_fixes_phase(self):
-        raw = np.array([3.0j, 4.0j])
-        s = PureState.from_amplitudes(raw)
-        a0, a1 = s.amplitudes()
-        assert a0 == pytest.approx(0.6)  # global phase stripped
-        assert a1 == pytest.approx(0.8)
-
-    def test_from_amplitudes_rejects_zero(self):
-        with pytest.raises(DomainError):
-            PureState.from_amplitudes(np.zeros(2))
-
-    def test_overlap(self):
-        up = PureState(theta=0.0, phi=0.0)
-        down = PureState(theta=math.pi, phi=0.0)
-        assert up.overlap(down) == pytest.approx(0.0, abs=1e-15)
-        assert up.overlap(up) == pytest.approx(1.0)
 
     def test_theta_out_of_range(self):
         with pytest.raises(DomainError):
@@ -126,7 +111,7 @@ class TestProbabilities:
             m *= 0.5 / np.abs(np.linalg.svd(m, compute_uv=False)).max()
             op = MeasurementOperator(m)
             state = PureState(theta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi))
-            rotated = PureState.from_amplitudes(op.canonical.v @ np.asarray(state.amplitudes()))
+            rotated = from_amplitudes_reference(op.canonical.v @ np.asarray(state.amplitudes()))
             c, s = math.cos(0.5 * rotated.theta), math.sin(0.5 * rotated.theta)
             expected = op.kappa**2 * (c * c + op.lam**2 * s * s)
             assert outcome_probability(op, state) == pytest.approx(expected, abs=1e-10)
@@ -213,25 +198,6 @@ def outcome_probability_reference(op, state):
     return _clamp_probability(float(np.real(np.vdot(amp, m.conj().T @ m @ amp))))
 
 
-def from_amplitudes_reference(vec):
-    """The NumPy formulation of :meth:`PureState.from_amplitudes`, with the
-    same guards (``np.linalg.norm`` and array division)."""
-    arr = np.asarray(vec, dtype=complex).reshape(-1)
-    if arr.shape != (2,):
-        raise FormatError("amplitude vector must have exactly 2 components")
-    norm = float(np.linalg.norm(arr))
-    if norm < 1e-14:
-        raise DomainError("cannot normalize a zero state vector")
-    arr = arr / norm
-    theta = 2.0 * math.atan2(abs(arr[1]), abs(arr[0]))
-    phi = 0.0
-    if abs(arr[1]) > 1e-15:
-        phi = math.atan2(arr[1].imag, arr[1].real)
-        if abs(arr[0]) > 1e-15:
-            phi -= math.atan2(arr[0].imag, arr[0].real)
-    return PureState(theta=theta, phi=phi)
-
-
 def haar_unitary(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
@@ -268,12 +234,10 @@ def reference_sets(kind, rng):
 
 
 class TestScalarBodies:
-    """The scalar bodies of check_completeness, outcome_probability and
-    from_amplitudes against their NumPy formulations above. Both round
-    differently, so the bounds are set from the dtype: the completeness
-    deviation and every probability (all at most 2 in modulus) to 1e-15
-    absolute, about 4 ulps; theta to 2e-15, about 4 ulps of pi; phi to 4e-15
-    modulo 2 pi, about 4 ulps of 2 pi."""
+    """The scalar bodies of check_completeness and outcome_probability
+    against their NumPy formulations above. Both round differently, so the
+    bounds are set from the dtype: the completeness deviation and every
+    probability (all at most 2 in modulus) to 1e-15 absolute, about 4 ulps."""
 
     KINDS = ["operators", "lambda=0", "lambda=1", "power-of-two"]
     POLES = [PureState(theta=0.0, phi=1.0), PureState(theta=math.pi, phi=5.0)]
@@ -323,65 +287,11 @@ class TestScalarBodies:
             w = haar_unitary(rng)
             # w diag(1, 0) w† annihilates the state w[:, 1] up to its rounding.
             op = MeasurementOperator(w @ np.diag([1.0, 0.0]) @ w.conj().T)
-            state = PureState.from_amplitudes(w[:, 1])
+            state = from_amplitudes_reference(w[:, 1])
             assert outcome_probability(op, state) <= 1e-15
             assert outcome_probability_reference(op, state) <= 1e-15
         exact = MeasurementOperator(np.diag([0.0, 1.0]))
         assert outcome_probability(exact, PureState(theta=0.0, phi=0.7)) == 0.0
-
-    @pytest.mark.parametrize("scale", ["unit", "power-of-two", "gaussian"])
-    def test_from_amplitudes_matches_reference(self, scale):
-        rng = np.random.default_rng(3300 + len(scale))
-        vecs = [np.array([1.0, 0.0]), np.array([0.0, 1j]), np.array([1e-300, 1.0])]
-        for _ in range(50):
-            a0, a1 = random_state(rng).amplitudes()
-            vec = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * np.array([a0, a1])
-            if scale == "power-of-two":  # kept below 2^500, where the reference overflows
-                vec = 2.0 ** int(rng.integers(-40, 500)) * vec
-            elif scale == "gaussian":
-                vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-            vecs.append(vec)
-        for vec in vecs:
-            s, ref = PureState.from_amplitudes(vec), from_amplitudes_reference(vec)
-            assert abs(s.theta - ref.theta) <= 2e-15
-            assert abs(math.remainder(s.phi - ref.phi, 2.0 * math.pi)) <= 4e-15
-            assert abs(s.overlap(ref) - abs(np.vdot(s.amplitudes(), ref.amplitudes()))) <= 1e-15
-
-    def test_from_amplitudes_is_scale_invariant(self):
-        """hypot does not overflow, so any power-of-two scale, even past
-        the range of the squares, gives the same state bit for bit."""
-        rng = np.random.default_rng(3400)
-        for _ in range(20):
-            vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-            s = PureState.from_amplitudes(vec)
-            for k in (-40, 600, 1000):
-                assert PureState.from_amplitudes(2.0 ** k * vec) == s
-
-    @pytest.mark.parametrize(
-        "vec, error",
-        [
-            (np.zeros(2), DomainError),
-            (1e-150 * np.array([0.6, 0.8j]), DomainError),
-            (np.ones(3), FormatError),
-            (np.eye(2), FormatError),
-        ],
-        ids=["zero", "1e-150", "3-vector", "2x2"],
-    )
-    def test_from_amplitudes_keeps_its_errors(self, vec, error):
-        for build in (PureState.from_amplitudes, from_amplitudes_reference):
-            with pytest.raises(error):
-                build(vec)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    theta=st.floats(min_value=0.0, max_value=math.pi),
-    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi - 1e-9),
-)
-def test_state_amplitude_round_trip(theta, phi):
-    s = PureState(theta=theta, phi=phi)
-    back = PureState.from_amplitudes(np.array(s.amplitudes()))
-    assert back.overlap(s) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,11 @@ target.
 """
 
 import ast
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from qmtradeoff.errors import DomainError, IrreversibleError
 from qmtradeoff.linalg import Su2Params, _gram, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
+    NODES,
     _amplitude_pauli,
     _fidelity_weight,
     _gauss_legendre,
@@ -472,17 +477,6 @@ class TestQuadratureAgreement:
         err = abs(quadrature_reversibility(diag_op(lam)).value - analytics.reversibility(lam))
         assert err < 1e-10
 
-    def test_node_count_convergence(self):
-        """Errors should fall geometrically as the rule is refined; the
-        hardest case is small lam, where the integrand's log has the most
-        curvature."""
-        op = diag_op(0.05)
-        ref = analytics.information_gain(0.05)
-        errs = [abs(quadrature_information(op, nodes=n).value - ref) for n in (8, 12, 16)]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[1] < errs[0] / 50.0
-        assert errs[2] < 1e-10
-
     def test_rotations_do_not_move_quadrature(self):
         from qmtradeoff.linalg import Su2Params, su2_matrix
 
@@ -535,18 +529,14 @@ class TestQuadratureAgreement:
         op = MeasurementOperator(h @ np.diag([1.0, 0.5]))
         angles = su2_params(op.canonical.u)
         ref = analytics.fidelity_closed(0.5, angles.beta, angles.gamma)
-        assert abs(quadrature_fidelity(op, nodes=64).value - ref) < 1e-8
+        assert abs(quadrature_fidelity(op).value - ref) < 1e-8
 
     def test_singular_operator_rejected(self):
         with pytest.raises(IrreversibleError):
             quadrature_reversibility(diag_op(0.0))
 
-    def test_node_count_validated(self):
-        with pytest.raises(DomainError):
-            quadrature_information(diag_op(0.5), nodes=4)
-
     def test_metadata(self):
-        est = quadrature_information(diag_op(0.5), nodes=32)
+        est = quadrature_information(diag_op(0.5))
         assert est.method == "quadrature"
         assert est.std_error == 0.0
 
@@ -557,7 +547,7 @@ class TestQuadratureAgreement:
     def test_samples_count_every_node(self, lam, subintervals):
         """The graded rule has ceil(log_8(1 / lam^2)) + 1 subintervals, at
         most 19: the depth stops where 1 + lam^2 rounds to 1."""
-        assert quadrature_information(diag_op(lam), nodes=32).samples == 32 * subintervals
+        assert quadrature_information(diag_op(lam)).samples == 64 * subintervals
 
 
 class TestMomentForm:
@@ -587,28 +577,27 @@ class TestMomentForm:
         qbar = 0.5 * np.sum(w * 0.5 * ((1.0 + lam2) + u * (1.0 - lam2)))
         return zbar / qbar, lam2 / qbar
 
-    @pytest.mark.parametrize("nodes", [8, 64, 65])
+    @pytest.mark.parametrize("nodes", [NODES])
     def test_matches_explicit_sums(self, nodes):
         u, w = leggauss(nodes)
         rng = np.random.default_rng(nodes)
         worst = 0.0
         for op in TestPauliIntegrands.operators(rng, 200):
             fid, rev = self.explicit(op, u, w)
-            got_fid = quadrature_fidelity(op, nodes=nodes)
-            got_rev = quadrature_reversibility(op, nodes=nodes)
+            got_fid = quadrature_fidelity(op)
+            got_rev = quadrature_reversibility(op)
             assert got_fid.samples == 2 * nodes * nodes and got_rev.samples == nodes
             worst = max(worst, abs(got_fid.value - fid) / fid, abs(got_rev.value - rev) / rev)
         assert worst <= 1e-14
 
     def test_moments_are_symmetric_scalars(self):
-        for nodes in (8, 64, 65):
-            m = _moments(nodes)
-            assert isinstance(m, tuple) and len(m) == 4
-            for i in range(4):
-                assert isinstance(m[i], tuple) and len(m[i]) == 4
-                for j in range(4):
-                    assert type(m[i][j]) is float
-                    assert m[i][j] == m[j][i]
+        m = _moments()
+        assert isinstance(m, tuple) and len(m) == 4
+        for i in range(4):
+            assert isinstance(m[i], tuple) and len(m[i]) == 4
+            for j in range(4):
+                assert type(m[i][j]) is float
+                assert m[i][j] == m[j][i]
 
     @staticmethod
     def flipped_trace(op):
@@ -661,11 +650,11 @@ class TestNodeCache:
 
     OP = TestMomentForm.OP
 
-    def reference(self, nodes):
+    def reference(self):
         """All three quadratures from a freshly built rule, through the same
         formulas as the cached path: line sums for information, and the
         moments of (1, r) for fidelity and reversibility."""
-        u, w = leggauss(nodes)
+        u, w = leggauss(NODES)
         lam = self.OP.lam
         # The information rule is graded to depth ceil(log_8(1 / lam^2)) = 1
         # at lam = 0.35 / 0.9: one breakpoint, at -1 + 2 / 8.
@@ -676,7 +665,7 @@ class TestNodeCache:
         q = 0.5 * ((1.0 + lam * lam) + gu * (1.0 - lam * lam))
         qbar = 0.5 * float(np.sum(gw * q))
         qlog = 0.5 * float(np.sum(gw * (q * np.log2(q))))
-        phi = np.arange(2 * nodes) * (2.0 * math.pi / (2 * nodes))
+        phi = np.arange(2 * NODES) * (2.0 * math.pi / (2 * NODES))
         s = np.sqrt((1.0 - u) * (1.0 + u))
         f = np.array([np.ones_like(u), s, s, u])
         h = np.array([np.ones_like(phi), np.cos(phi), np.sin(phi), np.ones_like(phi)])
@@ -690,17 +679,59 @@ class TestNodeCache:
         return qlog / qbar - math.log2(qbar), zbar / mbar, lam * lam / mbar
 
     def test_quadratures_match_fresh_rule(self):
-        for nodes in (8, 64, 65, 8, 65, 64):
+        for _ in range(2):  # the first pass may build the cache, the second reads it
             got = tuple(
-                quadrature(self.OP, nodes=nodes).value
+                quadrature(self.OP).value
                 for quadrature in (
                     quadrature_information, quadrature_fidelity, quadrature_reversibility
                 )
             )
-            assert got == self.reference(nodes), nodes
+            assert got == self.reference()
+
+    def test_rule_is_built_lazily_at_nodes(self):
+        """In a fresh process, importing the package calls no leggauss, and
+        the quadratures call it only as leggauss(64), from inside a
+        quadrature: a rule built at import would add to every start-up."""
+        script = """
+import json, sys
+import numpy as np
+import numpy.polynomial.legendre as legendre
+calls, real = [], legendre.leggauss
+def traced(deg):
+    names = set()
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code.co_filename.endswith("oracle.py"):
+            names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    calls.append([deg, sorted(n for n in names if n.startswith("quadrature_"))])
+    return real(deg)
+legendre.leggauss = traced
+import qmtradeoff
+from qmtradeoff import oracle
+calls.append("imported")
+for lam in (0.0, 1e-9, 0.01, 0.35, 1.0):
+    op = qmtradeoff.MeasurementOperator(np.diag([1.0, lam]))
+    oracle.quadrature_information(op)
+    oracle.quadrature_fidelity(op)
+    if lam > 0.0:
+        oracle.quadrature_reversibility(op)
+print(json.dumps(calls))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout)
+        assert calls[0] == "imported"
+        assert len(calls) > 1
+        for deg, quadratures in calls[1:]:
+            assert deg == 64
+            assert len(quadratures) == 1
 
     def test_cached_rule_is_read_only(self):
-        for a in _gauss_legendre(64, 0) + _gauss_legendre(64, 3):
+        for a in _gauss_legendre(0) + _gauss_legendre(3):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0

@@ -17,6 +17,8 @@ from qmtradeoff.reversal import (
     simulate_reversal,
 )
 
+from state_reference import from_amplitudes_reference
+
 
 def make_operator(kappa, lam, seed=None):
     if seed is None:
@@ -85,7 +87,7 @@ class TestScalarReversing:
         rng = np.random.default_rng(4100)
         for _ in range(20):
             op = make_operator(rng.uniform(0.2, 1.0), lam, seed=int(rng.integers(1, 10**9)))
-            weak = PureState.from_amplitudes(op.canonical.v[1].conj())
+            weak = from_amplitudes_reference(op.canonical.v[1].conj())
             assert reversal_success_probability(op, weak) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_probability_rejected(self, monkeypatch):
