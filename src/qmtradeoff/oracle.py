@@ -12,29 +12,24 @@ Conventions shared by both routes:
   [-1, 1] and phi uniform on [0, 2 pi), quadrature places its nodes in u. A
   state enters only through its Bloch vector r = (s cos phi, s sin phi, u),
   s = √(1 - u²);
-* every integrand is affine in r: writing a 2x2 matrix as a0 I + a . sigma,
-  <psi|a|psi> = a0 + a . r. So q is g0 + g . r with the Pauli coefficients
-  of M†M / kappa^2, read off the Gram entries from ``linalg._gram``, and
-  the fidelity amplitude <psi|u D|psi> is b0 + b . r with those of
-  u diag(1, lam); its squared modulus is re² + im²;
-* each Monte Carlo estimator takes a (3, n) batch of Bloch vectors from
-  ``sample_bloch_vectors``. ``verify`` draws one batch per run and hands
-  it to every estimator at every lam. Each check keeps its own marginal
-  distribution, but checks at different lam are correlated, so one
-  unlucky batch fails a band of lam together (README, *Numerical notes*,
-  gives the measured rate);
-* the information and reversibility integrands depend on the state only
-  through the scaled outcome probability q, so their quadratures are
-  one-dimensional in u; the fidelity integrand retains a phi dependence
-  through the left unitary factor and uses a tensor rule (Gauss-Legendre in
-  u times a uniform periodic rule in phi — the integrand is a degree-2
-  trigonometric polynomial in phi, integrated exactly by >= 5 points);
-* q is linear in u and vanishes about 2 lam^2 beyond u = -1, where q log q
-  is not analytic, so the information quadrature maps the Gauss-Legendre
-  rule onto subintervals graded geometrically toward u = -1, as many as lam
-  needs (one interval at lam = 1), down to lam = 0;
-* the graded rules and the tensor rule's moments of (1, r), all that
-  polynomial integrands need, are built once, on first use, and shared;
+* writing a 2x2 matrix as a0 I + a . sigma, <psi|a|psi> = a0 + a . r. So q
+  is g0 + g . r with the Pauli coefficients of M†M / kappa^2 (from
+  ``linalg._gram``), and the fidelity amplitude <psi|u D|psi> is c . (1, r)
+  with those of u diag(1, lam);
+* q and |c . (1, r)|^2 are linear in x = (1, r, r_i r_j for i <= j), so
+  both routes take the fidelity and the reversibility from ``coef @ mean``
+  of x: the mean of a tensor rule (Gauss-Legendre in u times a uniform rule
+  in phi, exact here), or that of a ``Batch`` of states, which also holds
+  the covariance and the leave-one-block-out means of x. ``verify`` hands
+  one batch to every estimator at every lam, so one unlucky batch fails a
+  band of lam together (README, *Numerical notes*, gives the rate);
+* q log q is no polynomial, so the information estimates visit every state
+  or node. q is linear in u and vanishes about 2 lam^2 beyond u = -1,
+  where q log q is not analytic, so the information quadrature maps the
+  rule onto subintervals graded geometrically toward u = -1, as many as
+  lam needs (one interval at lam = 1), down to lam = 0;
+* the graded rules and the tensor rule's mean of x are built once, on first
+  use, and shared;
 * Monte Carlo ratio estimators report a delta-method standard error and a
   100-block jackknife standard error as an independent second opinion.
 """
@@ -59,6 +54,9 @@ _JACKKNIFE_BLOCKS = 100
 #: Gauss-Legendre nodes of every quadrature rule, per subinterval in u.
 NODES = 64
 
+#: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ.
+_PAIRS = np.triu_indices(4)
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -77,9 +75,17 @@ class Estimate:
     std_error_jackknife: Optional[float] = None
 
 
-def sample_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)`` array
-    of Bloch vectors, with u = cos θ uniform on [-1, 1] and phi on [0, 2 pi)."""
+class Batch(np.ndarray):
+    """Read-only ``(3, n)`` Bloch vectors r, with ``moments`` =
+    ``_sample_moments(r)``: all that the fidelity and reversibility read."""
+
+    moments: tuple
+
+
+def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
+    """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)``
+    :class:`Batch` of Bloch vectors, with u = cos θ uniform on [-1, 1] and
+    phi on [0, 2 pi)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"need at least 2 samples, got {n!r}")
     r = np.empty((3, n))
@@ -89,7 +95,34 @@ def sample_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     np.multiply(np.cos(phi, out=r[0]), s, out=r[0])
     np.multiply(np.sin(phi, out=r[1]), s, out=r[1])
     r[2] = u
-    return r
+    batch = r.view(Batch)
+    batch.moments = _sample_moments(r)
+    return _read_only(batch)[0]
+
+
+def _monomials(r: np.ndarray) -> np.ndarray:
+    """x = (1, r, r_i r_j for i <= j) at each column of r."""
+    x = np.concatenate((np.ones((1, r.shape[1])), r))
+    return x[_PAIRS[0]] * x[_PAIRS[1]]
+
+
+def _sample_moments(r: np.ndarray) -> tuple:
+    """Mean, covariance and leave-one-block-out means (a column per jackknife
+    block) of x = ``_monomials(r)``, and n, one block at a time: each block's
+    sum, and its cross products about its own mean, moved to the batch mean."""
+    n = r.shape[1]
+    starts, kept = _jackknife_blocks(n)
+    sums, m2 = [], 0.0
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        x = _monomials(r[:, lo:hi])
+        sums.append(np.add.reduce(x, axis=1))
+        x -= (sums[-1] / (hi - lo))[:, None]
+        m2 += np.dot(x, x.T)
+    sums, size = np.array(sums).T, n - kept
+    total = np.add.reduce(sums, axis=1)
+    dev = sums / size - (total / n)[:, None]
+    m2 += np.dot(dev * size, dev.T)
+    return total / n, m2 / (n - 1), (total[:, None] - sums) / kept, n
 
 
 def _pauli(a) -> tuple:
@@ -104,18 +137,16 @@ def _q(lam: float, u: np.ndarray) -> np.ndarray:
     return 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
 
 
-def _outcome_q(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
-    """Scaled outcome probability <psi|M†M|psi> / kappa^2 at Bloch vectors r:
-    g0 + g . r, with (g0, g) the Pauli coefficients of linalg._gram's
-    M†M = [[a, b], [conj(b), c]] over kappa^2. Uses the raw matrix, so any
-    right unitary factor shows up pointwise (its effect must — and does —
-    wash out of uniform averages)."""
+def _q_coef(op: MeasurementOperator) -> np.ndarray:
+    """Coefficients on x of q = <psi|M†M|psi> / kappa^2 = g0 + g . r, the Pauli
+    coefficients of linalg._gram's M†M = [[a, b], [conj(b), c]] over kappa^2.
+    Uses the raw matrix, so any right unitary factor shows up pointwise (its
+    effect must — and does — wash out of uniform averages)."""
     a, c, b = _gram(op.matrix)
     g0, g = _pauli(((a, b), (b.conjugate(), c)))
-    k2 = op.kappa * op.kappa
-    y = np.dot(np.array([x.real for x in g]) / k2, r)
-    y += g0.real / k2
-    return y
+    coef = np.zeros(_PAIRS[0].size)
+    coef[:4] = np.array([g0.real] + [x.real for x in g]) / (op.kappa * op.kappa)
+    return coef
 
 
 def _amplitude_pauli(op: MeasurementOperator) -> tuple:
@@ -123,13 +154,16 @@ def _amplitude_pauli(op: MeasurementOperator) -> tuple:
     return _pauli((op.canonical.u * [1.0, op.lam]).tolist())
 
 
-def _fidelity_weight(op: MeasurementOperator, r: np.ndarray) -> np.ndarray:
-    """``|<psi| u D |psi>|^2`` at Bloch vectors r."""
+def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
+    """Coefficients on x, as two rows, of q of the canonical operator and of
+    the fidelity integrand ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from
+    ``_amplitude_pauli``: Re(c_i* c_j), twice over for i < j."""
     b0, b = _amplitude_pauli(op)
-    w = np.dot(np.array([[x.real for x in b], [x.imag for x in b]]), r)
-    w += [[b0.real], [b0.imag]]
-    np.multiply(w, w, out=w)
-    return np.add(w[0], w[1], out=w[0])
+    c, (i, j), lam = np.array((b0,) + b), _PAIRS, op.lam
+    coef = np.zeros((2, i.size))
+    coef[0, [0, 3]] = 0.5 * (1.0 + lam * lam), 0.5 * (1.0 - lam) * (1.0 + lam)
+    coef[1] = (c.real[i] * c.real[j] + c.imag[i] * c.imag[j]) * (2.0 - (i == j))
+    return coef
 
 
 def _xlog2x(q: np.ndarray) -> np.ndarray:
@@ -157,54 +191,26 @@ def _jackknife_blocks(n: int) -> tuple:
     return _read_only(starts, n - np.diff(starts, append=n))
 
 
-def _jackknife_se(data: np.ndarray, totals: np.ndarray, fn: Callable[..., float]) -> float:
-    """Leave-one-block-out standard error of ``fn`` applied to the row means
-    of ``data`` (whose row sums are ``totals``), with the blocks of
-    ``np.array_split``."""
-    starts, kept = _jackknife_blocks(data.shape[1])
-    blocks = starts.size
-    block_sums = np.add.reduceat(data, starts, axis=1)
-    estimates = fn(*((totals[:, None] - block_sums) / kept))
-    estimates -= np.add.reduce(estimates) / blocks
-    return math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
-
-
 def _ratio_estimate(
-    columns: tuple, fn: Callable[..., float], grad: Callable[..., tuple]
+    coef: np.ndarray, moments: tuple, fn: Callable[..., float], grad: Callable[..., tuple]
 ) -> Estimate:
-    """Monte Carlo estimate ``fn(*column means)``, where the first column
-    holds q and must have a positive mean.
-
-    ``grad`` gives the gradient of ``fn`` at the means, from which the delta
-    method gives the standard error ``sqrt(g . Cov . g / n)``; the jackknife
-    standard error is reported alongside it. ``fn`` must also accept arrays
-    of means, one entry per jackknife block.
-    """
-    data = np.array(columns)
-    n = data.shape[1]
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    totals = np.add.reduce(data, axis=1)
-    mean = totals / n
-    means = mean.tolist()
+    """Monte Carlo estimate ``fn(*means)``, means = ``coef @ mean``, from the
+    sample moments ``(mean, cov, loo, n)`` of some x; the first mean is q's
+    and must be positive. The delta-method standard error projects the
+    gradient onto x, d = ``grad(*means) @ coef``, before the covariance:
+    ``sqrt(d . cov . d / n)``. The jackknife one applies ``fn`` to the
+    leave-one-block-out means, the columns of ``loo``."""
+    mean, cov, loo, n = moments
+    means = (coef @ mean).tolist()
     if means[0] <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
-    g = np.array(grad(*means))
-    jackknife = _jackknife_se(data, totals, fn)
-    # np.cov(data)'s own arithmetic without its argument handling, so that
-    # std_error keeps every bit; data is centered in place, after the
-    # jackknife has read it.
-    data -= mean[:, None]
-    cov = np.dot(data, data.T)
-    cov *= np.true_divide(1, n - 1)
-    var = float(g @ cov @ g) / n
-    return Estimate(
-        value=float(fn(*means)),
-        std_error=math.sqrt(max(var, 0.0)),
-        samples=n,
-        method="monte-carlo",
-        std_error_jackknife=jackknife,
-    )
+    d = np.array(grad(*means)) @ coef
+    estimates = fn(*(coef @ loo))
+    blocks = estimates.size
+    estimates -= np.add.reduce(estimates) / blocks
+    jackknife = math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
+    std_error = math.sqrt(max(float(d @ cov @ d) / n, 0.0))
+    return Estimate(float(fn(*means)), std_error, n, "monte-carlo", jackknife)
 
 
 def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
@@ -215,32 +221,42 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     the defining functional ``[avg(q log2 q) - qbar log2 qbar] / qbar``,
     which is invariant under rescaling of q.
     """
-    y = _outcome_q(op, r)
+    n = r.shape[1]
+    if n < 2:
+        raise DomainError(f"need at least 2 samples, got {n}")
+    coef, data = _q_coef(op), np.empty((2, n))  # information's x: q and q log2 q
+    np.dot(coef[1:4], r, out=data[0])
+    data[0] += coef[0]
+    data[1] = _xlog2x(data[0])
+    starts, kept = _jackknife_blocks(n)
+    totals = np.add.reduce(data, axis=1)
+    loo = (totals[:, None] - np.add.reduceat(data, starts, axis=1)) / kept
+    mean = totals / n
+    # np.cov(data)'s own arithmetic, centering data in place.
+    data -= mean[:, None]
+    cov = np.dot(data, data.T) * np.true_divide(1, n - 1)
     return _ratio_estimate(
-        (y, _xlog2x(y)),
-        lambda ym, zm: zm / ym - np.log2(ym),
+        np.eye(2), (mean, cov, loo, n), lambda ym, zm: zm / ym - np.log2(ym),
         lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
     )
 
 
-def estimate_fidelity(op: MeasurementOperator, r: np.ndarray) -> Estimate:
-    """Monte Carlo estimate of the mean fidelity of one outcome over the
-    Bloch vectors in the columns of ``r``.
-
-    Averages ``|<psi| u D |psi>|^2`` against the posterior weight by taking
-    the ratio of its sample mean to the sample mean of q. Uses the canonical
-    left factor, matching the single-outcome relabeling convention.
-    """
+def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
+    """Monte Carlo estimate of the mean fidelity of one outcome over a
+    :class:`Batch` of states: the ratio of the batch means of
+    ``|<psi| u D |psi>|^2`` and of q, each ``coef @ mean`` of x as in
+    ``quadrature_fidelity``. Uses the canonical left factor, matching the
+    single-outcome relabeling convention."""
     return _ratio_estimate(
-        (_q(op.lam, r[2]), _fidelity_weight(op, r)),
-        lambda ym, zm: zm / ym,
+        _fidelity_coef(op), batch.moments, lambda ym, zm: zm / ym,
         lambda ym, zm: (-zm / ym**2, 1.0 / ym),
     )
 
 
-def estimate_reversibility(op: MeasurementOperator, r: np.ndarray) -> Estimate:
+def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean reversal success probability,
-    ``lam^2 / (average of q)``, over the Bloch vectors in the columns of ``r``.
+    ``lam^2 / qbar``, over a :class:`Batch` of states, with qbar
+    ``coef @ mean`` of x as in ``quadrature_reversibility``.
 
     Raises
     ------
@@ -250,7 +266,7 @@ def estimate_reversibility(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     _check_reversible(op.lam)
     lam2 = op.lam * op.lam
     return _ratio_estimate(
-        (_outcome_q(op, r),), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,)
+        _q_coef(op)[None], batch.moments, lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,)
     )
 
 
@@ -267,15 +283,15 @@ def _gauss_legendre(depth: int) -> tuple:
 
 
 @functools.lru_cache
-def _moments() -> tuple:
-    """Second moments M of x = (1, r) under the fidelity tensor rule, a symmetric
-    4x4 tuple of floats: x = f(u) h(phi), so each is a u sum times a phi mean."""
+def _rule_mean() -> np.ndarray:
+    """Read-only mean of x = ``_monomials(r)`` under the fidelity tensor rule:
+    (1, r) = f(u) h(phi), so each entry is a u sum times a phi mean."""
     u, w = _gauss_legendre(0)
     phi = np.arange(2 * NODES) * (math.pi / NODES)
     s = np.sqrt((1.0 - u) * (1.0 + u))
     f, h = np.array([u**0, s, s, u]), np.array([phi**0, np.cos(phi), np.sin(phi), phi**0])
     m = np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)
-    return tuple(map(tuple, m.tolist()))
+    return _read_only(m[_PAIRS])[0]
 
 
 def quadrature_information(op: MeasurementOperator) -> Estimate:
@@ -300,23 +316,17 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
 
 
 def quadrature_fidelity(op: MeasurementOperator) -> Estimate:
-    """Deterministic evaluation of the mean-fidelity average.
-
-    Tensor rule: ``NODES`` Gauss-Legendre points in u times ``2 * NODES``
-    uniform points in phi, summed as Re(c† M c) over the rule's moments M.
-    """
-    m = _moments()
-    b0, b = _amplitude_pauli(op)
-    c = (b0,) + b
-    zbar = sum((x.conjugate() * sum(a * y for a, y in zip(row, c))).real for x, row in zip(c, m))
-    value = zbar / _q(op.lam, m[0][3])
-    return Estimate(value=value, std_error=0.0, samples=2 * NODES * NODES, method="quadrature")
+    """Deterministic evaluation of the mean-fidelity average, ``zbar / qbar``
+    with each ``coef @ mean`` of x as in ``estimate_fidelity``, over the tensor
+    rule of ``NODES`` Gauss-Legendre points in u times ``2 * NODES`` in phi."""
+    qbar, zbar = (_fidelity_coef(op) @ _rule_mean()).tolist()
+    return Estimate(zbar / qbar, 0.0, 2 * NODES * NODES, "quadrature")
 
 
 def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean reversal success probability,
-    ``lam^2 / qbar`` with qbar integrated exactly (the integrand is linear
-    in u) from the rule's first moment in u.
+    ``lam^2 / qbar`` with qbar ``coef @ mean`` of x under the tensor rule, as
+    in ``estimate_reversibility``: exact, since q is affine in r.
 
     Raises
     ------
@@ -325,5 +335,5 @@ def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """
     lam = op.lam
     _check_reversible(lam)
-    qbar = _q(lam, _moments()[0][3])
+    qbar = float(_q_coef(op) @ _rule_mean())
     return Estimate(value=lam * lam / qbar, std_error=0.0, samples=NODES, method="quadrature")

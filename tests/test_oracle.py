@@ -14,6 +14,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -25,11 +26,12 @@ from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
     NODES,
     _amplitude_pauli,
-    _fidelity_weight,
+    _fidelity_coef,
     _gauss_legendre,
-    _moments,
-    _outcome_q,
+    _monomials,
     _pauli,
+    _q_coef,
+    _rule_mean,
     estimate_fidelity,
     estimate_information,
     estimate_reversibility,
@@ -47,6 +49,19 @@ def diag_op(lam, kappa=1.0):
 def bloch(seed, n):
     """A batch of ``n`` uniform Bloch vectors from a fresh generator."""
     return sample_bloch_vectors(np.random.default_rng(seed), n)
+
+
+def outcome_q(op, r):
+    """q = g0 + g . r at each column of r, as estimate_information forms it."""
+    coef = _q_coef(op)
+    return coef[1:4] @ r + coef[0]
+
+
+def fidelity_weight(op, r):
+    """Per-sample |<psi| u D |psi>|^2 = re² + im² of b0 + b . r."""
+    b0, b = _amplitude_pauli(op)
+    re, im = np.array([[x.real for x in b], [x.imag for x in b]]) @ r + [[b0.real], [b0.imag]]
+    return re * re + im * im
 
 
 def polar(r):
@@ -138,8 +153,8 @@ def test_oracle_never_imports_analytics():
 
 
 class TestPauliIntegrands:
-    """The affine forms g0 + g . r and |b0 + b . r|^2 against the matrix
-    elements computed from the state's amplitudes."""
+    """q and |c . (1, r)|^2 as coef @ x, with x = _monomials(r), against the
+    matrix elements computed from the state's amplitudes."""
 
     @staticmethod
     def operators(rng, count):
@@ -175,8 +190,9 @@ class TestPauliIntegrands:
                 a = state.amplitudes()
                 q = np.vdot(a, op.matrix.conj().T @ op.matrix @ a).real / op.kappa**2
                 fid = abs(np.vdot(a, core @ a)) ** 2
-                worst_q = max(worst_q, abs(_outcome_q(op, r)[0] - q))
-                worst_f = max(worst_f, abs(_fidelity_weight(op, r)[0] - fid))
+                x = _monomials(r)
+                worst_q = max(worst_q, abs((_q_coef(op) @ x)[0] - q))
+                worst_f = max(worst_f, abs((_fidelity_coef(op)[1] @ x)[0] - fid))
         assert worst_q <= 2e-15
         assert worst_f <= 2e-15
 
@@ -191,8 +207,9 @@ class TestPauliIntegrands:
             assert np.max(np.abs(op.canonical.v - np.eye(2))) > 1e-6
             gram = op.matrix.conj().T @ op.matrix / op.kappa**2
             g = 0.5 * np.trace(gram @ sigma, axis1=1, axis2=2).real
-            q = _outcome_q(op, r)
+            q = outcome_q(op, r)
             assert np.max(np.abs(q - (g[0] + g[1:] @ r))) <= 1e-15 * np.max(q)
+            assert np.max(np.abs(q - _q_coef(op) @ _monomials(r))) <= 1e-15 * np.max(q)
 
 
 class TestIdentityOperator:
@@ -354,40 +371,44 @@ class TestJackknife:
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_information_matches_loop(self, n):
         est = estimate_information(self.OP, bloch(n, n))
-        y = _outcome_q(self.OP, bloch(n, n))
+        y = outcome_q(self.OP, bloch(n, n))
         expected = loop_jackknife((y, y * np.log2(y)), lambda ym, zm: zm / ym - np.log2(ym))
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_reversibility_matches_loop(self, n):
         est = estimate_reversibility(self.OP, bloch(n, n))
-        y = _outcome_q(self.OP, bloch(n, n))
+        y = outcome_q(self.OP, bloch(n, n))
         lam2 = self.OP.lam**2
         expected = loop_jackknife((y,), lambda ym: lam2 / ym)
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_delta_method_matches_np_cov(self, n):
-        """The covariance is formed without np.cov, by its own arithmetic;
-        std_error must equal sqrt(g . np.cov(data) . g / n) bit for bit."""
+        """std_error is sqrt(g . np.cov(data) . g / n) over the per-sample
+        columns: bit for bit for information, which forms its covariance by
+        np.cov's own arithmetic, and to 1e-9 relative for fidelity and
+        reversibility, which apply the covariance of x = _monomials(r) to the
+        gradient projected onto x. TestBatchMoments shows that the moment
+        form is the nearer of the two to the exact value."""
         op, lam2 = self.OP, self.OP.lam * self.OP.lam
         r = bloch(n, n)
-        u, y = r[2], _outcome_q(op, r)
+        u, y = r[2], outcome_q(op, r)
         z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
         q = 0.5 * ((1.0 + lam2) + u * (1.0 - lam2))
         cases = [
-            (estimate_information, (y, z),
+            (estimate_information, (y, z), 0.0,
              lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym)),
-            (estimate_fidelity, (q, _fidelity_weight(op, r)),
+            (estimate_fidelity, (q, fidelity_weight(op, r)), 1e-9,
              lambda ym, zm: (-zm / ym**2, 1.0 / ym)),
-            (estimate_reversibility, (y,), lambda ym: (-lam2 / ym**2,)),
+            (estimate_reversibility, (y,), 1e-9, lambda ym: (-lam2 / ym**2,)),
         ]
-        for estimator, columns, grad in cases:
+        for estimator, columns, rel, grad in cases:
             data = np.vstack(columns)
             g = np.array(grad(*(float(np.mean(row)) for row in data)))
             expected = math.sqrt(float(g @ np.atleast_2d(np.cov(data)) @ g) / n)
             est = estimator(op, bloch(n, n))
-            assert est.std_error == expected, estimator.__name__
+            assert abs(est.std_error - expected) <= rel * expected, estimator.__name__
 
     @pytest.mark.parametrize("n", [2000, 57])
     def test_estimates_are_python_floats(self, n):
@@ -398,15 +419,84 @@ class TestJackknife:
             assert type(est.std_error_jackknife) is float
 
 
+class TestBatchMoments:
+    """A batch's moments of x = _monomials(r), built one jackknife block at a
+    time, against NumPy on the whole (10, n) array; and the standard errors
+    that fidelity and reversibility take from them against a 40-digit
+    per-sample reference."""
+
+    @pytest.mark.parametrize("n", [2, 57, 199, 2000, 2001])
+    def test_blockwise_moments_match_numpy(self, n):
+        """Below 200 samples some blocks hold a single sample."""
+        batch = bloch(n, n)
+        mean, cov, loo, count = batch.moments
+        x = _monomials(batch)
+        assert x.shape == (10, n) and count == n and not batch.flags.writeable
+        assert np.max(np.abs(mean - np.mean(x, axis=1))) <= 4e-15
+        assert np.max(np.abs(cov - np.cov(x))) <= 4e-15
+        blocks = np.array_split(np.arange(n), min(100, n))
+        expected = [np.mean(np.delete(x, idx, axis=1), axis=1) for idx in blocks]
+        assert loo.shape == (10, len(blocks))
+        assert np.max(np.abs(loo - np.array(expected).T)) <= 4e-15
+
+    MP = mpmath.MPContext()
+    MP.dps = 40
+
+    @classmethod
+    def exact_std_error(cls, columns, grad):
+        """sqrt(g . Cov . g / n) over per-sample columns, at 40 digits: the
+        spread of g . (x_i - mean) over the samples."""
+        n, fsum = len(columns[0]), cls.MP.fsum
+        means = [fsum(col) / n for col in columns]
+        g = grad(*means)
+        h = [fsum(gk * (x - m) for gk, x, m in zip(g, xs, means)) for xs in zip(*columns)]
+        return float(cls.MP.sqrt(fsum(x * x for x in h) / ((n - 1) * n)))
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 0.95, 0.999])
+    def test_std_error_matches_mpmath(self, lam):
+        """To 1e-10 relative on 2000 states, against the per-sample delta
+        method at 40 digits, for verify's diag(1, lam) and a rotated operator.
+        Near lam = 1 the fidelity integrand of diag(1, lam) is nearly
+        constant: a per-sample covariance in double precision loses about
+        eps / (1 - lam)^2 there, and the moment form does not."""
+        mpf = self.MP.mpf
+        batch = bloch(17, 2000)
+        r = [[mpf(v) for v in row] for row in batch.tolist()]
+        rotation = su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0))
+        for op in (diag_op(lam), MeasurementOperator(rotation @ np.diag([1.0, lam]))):
+            lam2 = mpf(op.lam) ** 2
+            q = [((1 + lam2) + u * (1 - lam2)) / 2 for u in r[2]]
+            b0, b = _amplitude_pauli(op)
+            c = [complex(x) for x in (b0,) + b]
+            re = [c[0].real + sum(ck.real * x for ck, x in zip(c[1:], xs)) for xs in zip(*r)]
+            im = [c[0].imag + sum(ck.imag * x for ck, x in zip(c[1:], xs)) for xs in zip(*r)]
+            z = [a * a + b * b for a, b in zip(re, im)]
+            fid = self.exact_std_error((q, z), lambda qm, zm: (-zm / qm**2, 1 / qm))
+            rev = self.exact_std_error((q,), lambda qm: (-lam2 / qm**2,))
+            for got, want in ((estimate_fidelity(op, batch), fid),
+                              (estimate_reversibility(op, batch), rev)):
+                assert abs(got.std_error - want) <= 1e-10 * want, (op.lam, got.std_error, want)
+
+
+def block_jackknife(data, totals, fn, blocks=100):
+    """Leave-one-block-out standard error of fn over the row means of data
+    (whose row sums are totals), from np.add.reduceat block sums over the
+    blocks of np.array_split."""
+    n = data.shape[1]
+    split = np.array_split(np.arange(n), min(blocks, n))
+    starts, kept = [b[0] for b in split], n - np.array([b.size for b in split])
+    estimates = fn(*((totals[:, None] - np.add.reduceat(data, starts, axis=1)) / kept))
+    estimates -= np.add.reduce(estimates) / len(split)
+    return math.sqrt((len(split) - 1) / len(split) * float(np.add.reduce(estimates * estimates)))
+
+
 def allocating_estimates(op, r):
     """The three Monte Carlo estimates with every temporary of the plain
-    NumPy expressions: the integrands as whole-array sums, and the
-    covariance from a centered copy of the data."""
+    NumPy expressions, per sample: the integrands as whole-array sums, and
+    the covariance from a centered copy of the data."""
     a, c, b = _gram(op.matrix)
     k2 = op.kappa * op.kappa
     y = 0.5 * (a + c) / k2 + np.array([b.real, -b.imag, 0.5 * (a - c)]) / k2 @ r
-    b0, bv = _amplitude_pauli(op)
-    re, im = np.array([[x.real for x in bv], [x.imag for x in bv]]) @ r + [[b0.real], [b0.imag]]
     lam = op.lam
     lam2 = lam * lam
     q = 0.5 * ((1.0 + lam2) + r[2] * (1.0 - lam2))
@@ -423,22 +513,25 @@ def allocating_estimates(op, r):
         cov *= np.true_divide(1, n - 1)
         var = float(g @ cov @ g) / n
         return oracle.Estimate(float(fn(*means)), math.sqrt(max(var, 0.0)), n, "monte-carlo",
-                               oracle._jackknife_se(data, totals, fn))
+                               block_jackknife(data, totals, fn))
 
     return (
         ratio((y, np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)),
               lambda ym, zm: zm / ym - np.log2(ym),
               lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym)),
-        ratio((q, re * re + im * im), lambda ym, zm: zm / ym,
+        ratio((q, fidelity_weight(op, r)), lambda ym, zm: zm / ym,
               lambda ym, zm: (-zm / ym**2, 1.0 / ym)),
         ratio((y,), lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,)),
     )
 
 
 class TestInPlaceArithmetic:
-    """The integrands and the ratio estimate write into their own buffers
-    instead of allocating temporaries; every bit of every Estimate stays
-    that of the plain expressions."""
+    """The information integrand and its moments are written into their own
+    buffers instead of allocating temporaries, and every bit of its Estimate
+    stays that of the plain expressions. Fidelity and reversibility come
+    from the batch's moments instead: their values agree with the per-sample
+    ones to 1e-15 relative, and their standard errors to 1e-9, the nearer to
+    the exact one (TestBatchMoments)."""
 
     def test_xlog2x_matches_where_form(self):
         q = np.concatenate((np.random.default_rng(3).uniform(-0.5, 1.5, 1000),
@@ -455,9 +548,13 @@ class TestInPlaceArithmetic:
                 zip(rng.uniform(0.01, 1.0, 3), (1.0, 0.7, 0.3))]
         ops += [diag_op(1e-9), diag_op(1.0)]
         for op in ops:
-            got = (estimate_information(op, r), estimate_fidelity(op, r),
-                   estimate_reversibility(op, r))
-            assert got == allocating_estimates(op, r)
+            info, fid, rev = allocating_estimates(op, r)
+            assert estimate_information(op, r) == info
+            for got, want in ((estimate_fidelity(op, r), fid), (estimate_reversibility(op, r), rev)):
+                assert (got.samples, got.method) == (want.samples, want.method)
+                assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
+                assert got.std_error == pytest.approx(want.std_error, rel=1e-9)
+                assert got.std_error_jackknife == pytest.approx(want.std_error_jackknife, rel=1e-9)
 
 
 class TestQuadratureAgreement:
@@ -591,13 +688,19 @@ class TestMomentForm:
         assert worst <= 1e-14
 
     def test_moments_are_symmetric_scalars(self):
-        m = _moments()
-        assert isinstance(m, tuple) and len(m) == 4
-        for i in range(4):
-            assert isinstance(m[i], tuple) and len(m[i]) == 4
-            for j in range(4):
-                assert type(m[i][j]) is float
-                assert m[i][j] == m[j][i]
+        """The rule's mean of x is the upper triangle of the symmetric second
+        moment matrix of (1, r) over the rule's points, summed here point by
+        point: ten read-only floats."""
+        u, w = leggauss(NODES)
+        phi = np.arange(2 * NODES) * (math.pi / NODES)
+        s = np.sqrt((1.0 - u) * (1.0 + u))[:, None]
+        x = np.stack(np.broadcast_arrays(1.0, s * np.cos(phi), s * np.sin(phi), u[:, None]))
+        x = x.astype(np.longdouble)  # a point sum in double would be off by ~1e-14
+        m = np.einsum("iab,jab,a->ij", x, x, 0.5 * w) / (2 * NODES)
+        assert np.max(np.abs(m - m.T)) <= 1e-18
+        got = _rule_mean()
+        assert got.shape == (10,) and got.dtype == np.float64 and not got.flags.writeable
+        assert np.max(np.abs(got - m[np.triu_indices(4)])) <= 1e-15
 
     @staticmethod
     def flipped_trace(op):
@@ -652,8 +755,8 @@ class TestNodeCache:
 
     def reference(self):
         """All three quadratures from a freshly built rule, through the same
-        formulas as the cached path: line sums for information, and the
-        moments of (1, r) for fidelity and reversibility."""
+        formulas as the cached path: line sums for information, and
+        coef @ mean of x for fidelity and reversibility."""
         u, w = leggauss(NODES)
         lam = self.OP.lam
         # The information rule is graded to depth ceil(log_8(1 / lam^2)) = 1
@@ -669,14 +772,11 @@ class TestNodeCache:
         s = np.sqrt((1.0 - u) * (1.0 + u))
         f = np.array([np.ones_like(u), s, s, u])
         h = np.array([np.ones_like(phi), np.cos(phi), np.sin(phi), np.ones_like(phi)])
-        m = (np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)).tolist()
-        b0, b = _amplitude_pauli(self.OP)
-        c = (b0,) + b
-        zbar = sum((x.conjugate() * sum(a * y for a, y in zip(row, c))).real
-                   for x, row in zip(c, m))
-        # q is linear in u and the rule's zeroth moment is 1.
-        mbar = 0.5 * ((1.0 + lam * lam) + m[0][3] * (1.0 - lam * lam))
-        return qlog / qbar - math.log2(qbar), zbar / mbar, lam * lam / mbar
+        m = np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)
+        mean = m[np.triu_indices(4)]
+        fbar, zbar = (_fidelity_coef(self.OP) @ mean).tolist()
+        mbar = float(_q_coef(self.OP) @ mean)
+        return qlog / qbar - math.log2(qbar), zbar / fbar, lam * lam / mbar
 
     def test_quadratures_match_fresh_rule(self):
         for _ in range(2):  # the first pass may build the cache, the second reads it
