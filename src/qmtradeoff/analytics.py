@@ -179,11 +179,7 @@ def efficiency_fidelity(lam: float) -> float:
     cancellation-free form (1-lam)^2 / (3 (1+lam^2)), which stays exact
     near lam = 1 where the information-gain series takes over.
     """
-    lam = _check_lam(lam)
-    if lam == 1.0:
-        return EFF_FIDELITY_AT_ONE
-    deficit = (1.0 - lam) ** 2 / (3.0 * (1.0 + lam * lam))
-    return information_gain(lam) / deficit
+    return _efficiencies(_check_lam(lam), information_gain(lam))[0]
 
 
 def efficiency_reversibility(lam: float) -> float:
@@ -195,11 +191,17 @@ def efficiency_reversibility(lam: float) -> float:
     denominator is evaluated as (1-lam)(1+lam)/(1+lam^2), which stays exact
     near lam = 1 where the information-gain series takes over.
     """
-    lam = _check_lam(lam)
+    return _efficiencies(_check_lam(lam), information_gain(lam))[1]
+
+
+def _efficiencies(lam: float, info: float) -> tuple:
+    """Both efficiencies at a checked ``lam`` whose information gain is
+    ``info``: over the deficits as the public functions state them, and
+    their limits at lam = 1."""
     if lam == 1.0:
-        return 0.0
-    deficit = (1.0 - lam) * (1.0 + lam) / (1.0 + lam * lam)
-    return information_gain(lam) / deficit
+        return EFF_FIDELITY_AT_ONE, 0.0
+    return (info / ((1.0 - lam) ** 2 / (3.0 * (1.0 + lam * lam))),
+            info / ((1.0 - lam) * (1.0 + lam) / (1.0 + lam * lam)))
 
 
 @dataclass(frozen=True)
@@ -215,14 +217,11 @@ class TradeoffRecord:
 
 
 def tradeoff_record(lam: float) -> TradeoffRecord:
-    """Evaluate every closed form at ``lam``."""
+    """Evaluate every closed form at ``lam``, the information gain once."""
+    info = information_gain(lam)
+    lam = float(lam)  # checked by information_gain
     return TradeoffRecord(
-        lam=float(lam),
-        info=information_gain(lam),
-        fidelity_opt=optimal_fidelity(lam),
-        reversibility=reversibility(lam),
-        eff_fidelity=efficiency_fidelity(lam),
-        eff_reversibility=efficiency_reversibility(lam),
+        lam, info, optimal_fidelity(lam), reversibility(lam), *_efficiencies(lam, info)
     )
 
 

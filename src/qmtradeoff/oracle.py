@@ -19,8 +19,7 @@ Conventions shared by both routes:
 * q and |c . (1, r)|^2 are linear in x = (1, r, r_i r_j for i <= j), so
   both routes take the fidelity and the reversibility from ``coef @ mean``
   of x: the mean of a tensor rule (Gauss-Legendre in u times a uniform rule
-  in phi, exact here), or that of a ``Batch`` of states, which also holds
-  the covariance and the leave-one-block-out means of x. ``verify`` hands
+  in phi, exact here), or that of a ``Batch`` of states. ``verify`` hands
   one batch to every estimator at every lam, so one unlucky batch fails a
   band of lam together (README, *Numerical notes*, gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
@@ -30,8 +29,10 @@ Conventions shared by both routes:
   lam needs (one interval at lam = 1), down to lam = 0;
 * the graded rules and the tensor rule's mean of x are built once, on first
   use, and shared;
-* Monte Carlo ratio estimators report a delta-method standard error and a
-  100-block jackknife standard error as an independent second opinion.
+* one routine, ``_moments``, forms the sample mean, covariance and
+  leave-one-block-out means of x (see ``Estimate``), in one chunk up to
+  ``_CHUNK`` states and a jackknife block at a time above: for a ``Batch``
+  on its first use, and from (q, q log2 q) for each information estimate.
 """
 
 from __future__ import annotations
@@ -51,11 +52,15 @@ from .reversal import _check_reversible
 
 _JACKKNIFE_BLOCKS = 100
 
+#: Most states that ``_moments`` reads as one chunk; above, one block per chunk.
+_CHUNK = 2**13
+
 #: Gauss-Legendre nodes of every quadrature rule, per subinterval in u.
 NODES = 64
 
 #: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ.
-_PAIRS = np.triu_indices(4)
+_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+_PAIRS = tuple(np.array(_UPPER).T)
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,13 @@ class Estimate:
 
 
 class Batch(np.ndarray):
-    """Read-only ``(3, n)`` Bloch vectors r, with ``moments`` =
-    ``_sample_moments(r)``: all that the fidelity and reversibility read."""
+    """Read-only ``(3, n)`` Bloch vectors r. Its ``moments``, all that the
+    fidelity and reversibility read, are ``_moments`` of x = ``_monomials(r)``,
+    built on first use; a slice of a batch is a batch of its own columns."""
 
-    moments: tuple
+    @functools.cached_property
+    def moments(self) -> tuple:
+        return _moments(lambda lo, hi: _monomials(self[:, lo:hi]), self.shape[1])
 
 
 def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
@@ -95,9 +103,7 @@ def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
     np.multiply(np.cos(phi, out=r[0]), s, out=r[0])
     np.multiply(np.sin(phi, out=r[1]), s, out=r[1])
     r[2] = u
-    batch = r.view(Batch)
-    batch.moments = _sample_moments(r)
-    return _read_only(batch)[0]
+    return _read_only(r.view(Batch))[0]
 
 
 def _monomials(r: np.ndarray) -> np.ndarray:
@@ -106,23 +112,33 @@ def _monomials(r: np.ndarray) -> np.ndarray:
     return x[_PAIRS[0]] * x[_PAIRS[1]]
 
 
-def _sample_moments(r: np.ndarray) -> tuple:
+def _moments(rows: Callable[[int, int], np.ndarray], n: int) -> tuple:
     """Mean, covariance and leave-one-block-out means (a column per jackknife
-    block) of x = ``_monomials(r)``, and n, one block at a time: each block's
-    sum, and its cross products about its own mean, moved to the batch mean."""
-    n = r.shape[1]
+    block) of x = ``rows(lo, hi)`` over states lo to hi, and n. Per chunk (all
+    blocks up to ``_CHUNK`` states, else one), one ``reduceat`` for the block
+    sums and one ``dot`` for the cross products about the first chunk's
+    mean, moved to the batch mean at the end (Chan, Golub & LeVeque)."""
+    if n < 2:
+        raise DomainError(f"need at least 2 samples, got {n}")
     starts, kept = _jackknife_blocks(n)
-    sums, m2 = [], 0.0
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [n]):
-        x = _monomials(r[:, lo:hi])
-        sums.append(np.add.reduce(x, axis=1))
-        x -= (sums[-1] / (hi - lo))[:, None]
+    step = starts.size if n <= _CHUNK else 1
+    edges, dev, m2 = starts.tolist() + [n], 0.0, 0.0
+    for k in range(0, starts.size, step):
+        lo, hi = edges[k], edges[k + step]
+        x = rows(lo, hi)
+        if k == 0:
+            total, sums = np.add.reduce(x, axis=1), np.empty((len(x), starts.size))
+            mean = total / hi
+        np.add.reduceat(x, starts[k:k + step] - lo, axis=1, out=sums[:, k:k + step])
+        x -= mean[:, None]
         m2 += np.dot(x, x.T)
-    sums, size = np.array(sums).T, n - kept
-    total = np.add.reduce(sums, axis=1)
-    dev = sums / size - (total / n)[:, None]
-    m2 += np.dot(dev * size, dev.T)
-    return total / n, m2 / (n - 1), (total[:, None] - sums) / kept, n
+        if n > _CHUNK:
+            dev += np.add.reduce(x, axis=1)
+    if n > _CHUNK:  # from the first chunk's mean to the batch mean; one chunk has none
+        m2 -= dev[:, None] * (dev / n)
+        mean = mean + dev / n
+        total = mean * n
+    return mean, m2 * np.true_divide(1, n - 1), (total[:, None] - sums) / kept, n
 
 
 def _pauli(a) -> tuple:
@@ -144,9 +160,8 @@ def _q_coef(op: MeasurementOperator) -> np.ndarray:
     effect must — and does — wash out of uniform averages)."""
     a, c, b = _gram(op.matrix)
     g0, g = _pauli(((a, b), (b.conjugate(), c)))
-    coef = np.zeros(_PAIRS[0].size)
-    coef[:4] = np.array([g0.real] + [x.real for x in g]) / (op.kappa * op.kappa)
-    return coef
+    k2 = op.kappa * op.kappa
+    return np.array([g0.real / k2] + [x.real / k2 for x in g] + [0.0] * 6)
 
 
 def _amplitude_pauli(op: MeasurementOperator) -> tuple:
@@ -159,11 +174,11 @@ def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
     the fidelity integrand ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from
     ``_amplitude_pauli``: Re(c_i* c_j), twice over for i < j."""
     b0, b = _amplitude_pauli(op)
-    c, (i, j), lam = np.array((b0,) + b), _PAIRS, op.lam
-    coef = np.zeros((2, i.size))
-    coef[0, [0, 3]] = 0.5 * (1.0 + lam * lam), 0.5 * (1.0 - lam) * (1.0 + lam)
-    coef[1] = (c.real[i] * c.real[j] + c.imag[i] * c.imag[j]) * (2.0 - (i == j))
-    return coef
+    c, lam = (b0,) + b, op.lam
+    return np.array([
+        [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
+        [(c[i].real * c[j].real + c[i].imag * c[j].imag) * (2.0 - (i == j)) for i, j in _UPPER],
+    ])
 
 
 def _xlog2x(q: np.ndarray) -> np.ndarray:
@@ -221,22 +236,17 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     the defining functional ``[avg(q log2 q) - qbar log2 qbar] / qbar``,
     which is invariant under rescaling of q.
     """
-    n = r.shape[1]
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    coef, data = _q_coef(op), np.empty((2, n))  # information's x: q and q log2 q
-    np.dot(coef[1:4], r, out=data[0])
-    data[0] += coef[0]
-    data[1] = _xlog2x(data[0])
-    starts, kept = _jackknife_blocks(n)
-    totals = np.add.reduce(data, axis=1)
-    loo = (totals[:, None] - np.add.reduceat(data, starts, axis=1)) / kept
-    mean = totals / n
-    # np.cov(data)'s own arithmetic, centering data in place.
-    data -= mean[:, None]
-    cov = np.dot(data, data.T) * np.true_divide(1, n - 1)
+    coef = _q_coef(op)
+
+    def rows(lo, hi):  # information's x: q and q log2 q
+        x = np.empty((2, hi - lo))
+        np.dot(coef[1:4], r[:, lo:hi], out=x[0])
+        x[0] += coef[0]
+        x[1] = _xlog2x(x[0])
+        return x
+
     return _ratio_estimate(
-        np.eye(2), (mean, cov, loo, n), lambda ym, zm: zm / ym - np.log2(ym),
+        np.eye(2), _moments(rows, r.shape[1]), lambda ym, zm: zm / ym - np.log2(ym),
         lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
     )
 

@@ -112,8 +112,9 @@ class TestSampler:
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
             sample_bloch_vectors(np.random.default_rng(1), 0)
-        with pytest.raises(DomainError):
-            estimate_information(diag_op(0.5), bloch(1, 2)[:, :1])
+        for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
+            with pytest.raises(DomainError):
+                estimator(diag_op(0.5), bloch(1, 2)[:, :1])
 
     @pytest.mark.parametrize("n", [True, np.True_, 2.0, "2"])
     def test_sample_count_must_be_an_integer(self, n):
@@ -420,10 +421,10 @@ class TestJackknife:
 
 
 class TestBatchMoments:
-    """A batch's moments of x = _monomials(r), built one jackknife block at a
-    time, against NumPy on the whole (10, n) array; and the standard errors
-    that fidelity and reversibility take from them against a 40-digit
-    per-sample reference."""
+    """A batch's moments of x = _monomials(r), built in one chunk or a
+    jackknife block at a time, against NumPy on the whole (10, n) array; and
+    the standard errors that fidelity and reversibility take from them
+    against a 40-digit per-sample reference."""
 
     @pytest.mark.parametrize("n", [2, 57, 199, 2000, 2001])
     def test_blockwise_moments_match_numpy(self, n):
@@ -438,6 +439,36 @@ class TestBatchMoments:
         expected = [np.mean(np.delete(x, idx, axis=1), axis=1) for idx in blocks]
         assert loo.shape == (10, len(blocks))
         assert np.max(np.abs(loo - np.array(expected).T)) <= 4e-15
+
+    @pytest.mark.parametrize("n", [57, 199, 2000, 2001])
+    def test_merged_chunks_match_numpy(self, n, monkeypatch):
+        """The same bounds when the moments merge one chunk per jackknife
+        block, as they do above ``_CHUNK`` = 2**13 samples (16 here)."""
+        monkeypatch.setattr(oracle, "_CHUNK", 16)
+        self.test_blockwise_moments_match_numpy(n)
+
+    def test_moments_are_built_once_per_batch(self, monkeypatch):
+        """On first use, not at the draw; a second estimate reuses them.
+        A slice is a batch of its own columns, with moments of its own."""
+        calls = []
+        monkeypatch.setattr(oracle, "_monomials", lambda r: calls.append(1) or _monomials(r))
+        batch, op = bloch(5, 2000), diag_op(0.5)
+        assert not calls
+        first = estimate_fidelity(op, batch)
+        built = len(calls)
+        assert built and estimate_fidelity(op, batch) == first and len(calls) == built
+        estimate_reversibility(op, batch)
+        assert len(calls) == built
+        assert batch[:, :100].moments[3] == 100 and len(calls) > built
+
+    @pytest.mark.parametrize("k", [2, 57, 1000])
+    def test_slice_matches_copied_batch(self, k):
+        """A column slice of a batch estimates as a fresh batch of the same
+        columns does."""
+        batch, op = bloch(6, 2000), diag_op(0.3)
+        copy = np.array(batch[:, :k]).view(oracle.Batch)
+        for estimator in (estimate_fidelity, estimate_reversibility):
+            assert estimator(op, batch[:, :k]) == estimator(op, copy), estimator.__name__
 
     MP = mpmath.MPContext()
     MP.dps = 40
@@ -527,11 +558,11 @@ def allocating_estimates(op, r):
 
 class TestInPlaceArithmetic:
     """The information integrand and its moments are written into their own
-    buffers instead of allocating temporaries, and every bit of its Estimate
-    stays that of the plain expressions. Fidelity and reversibility come
-    from the batch's moments instead: their values agree with the per-sample
-    ones to 1e-15 relative, and their standard errors to 1e-9, the nearer to
-    the exact one (TestBatchMoments)."""
+    buffers instead of allocating temporaries, and up to ``_CHUNK`` states
+    every bit of its Estimate stays that of the plain expressions. Fidelity
+    and reversibility come from the batch's moments instead: their values
+    agree with the per-sample ones to 1e-15 relative, and their standard
+    errors to 1e-9, the nearer to the exact one (TestBatchMoments)."""
 
     def test_xlog2x_matches_where_form(self):
         q = np.concatenate((np.random.default_rng(3).uniform(-0.5, 1.5, 1000),
@@ -539,22 +570,54 @@ class TestInPlaceArithmetic:
         expected = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
         assert oracle._xlog2x(q).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [57, 2000, 2001, 200_000])
-    def test_estimates_match_allocating_form(self, n):
+    @staticmethod
+    def cases(n):
+        """n states, and the operators to estimate on them."""
         rng = np.random.default_rng(n)
-        r = bloch(n + 1, n)
         ops = list(TestPauliIntegrands.operators(rng, 3 if n > 10_000 else 24))
         ops += [diag_op(lam, kappa) for lam, kappa in
                 zip(rng.uniform(0.01, 1.0, 3), (1.0, 0.7, 0.3))]
-        ops += [diag_op(1e-9), diag_op(1.0)]
+        return bloch(n + 1, n), ops + [diag_op(1e-9), diag_op(1.0)]
+
+    @staticmethod
+    def assert_information_close(op, got, want, c=1.0):
+        """Within 1e-14 relative on the value, 1e-13 on std_error and 1e-11
+        on the jackknife, each bound times c."""
+        for key, rel in (("value", 1e-14), ("std_error", 1e-13), ("std_error_jackknife", 1e-11)):
+            g, w = getattr(got, key), getattr(want, key)
+            assert abs(g - w) <= rel * c * abs(w), (op.lam, key, g, w, c)
+
+    @pytest.mark.parametrize("n", [57, 2000, 2001, 200_000])
+    def test_estimates_match_allocating_form(self, n):
+        """Information bit for bit while its moments take one chunk, up to
+        ``_CHUNK`` states; above that, within ``assert_information_close``."""
+        r, ops = self.cases(n)
         for op in ops:
             info, fid, rev = allocating_estimates(op, r)
-            assert estimate_information(op, r) == info
+            if n <= oracle._CHUNK:
+                assert estimate_information(op, r) == info
+            else:
+                self.assert_information_close(op, estimate_information(op, r), info)
             for got, want in ((estimate_fidelity(op, r), fid), (estimate_reversibility(op, r), rev)):
                 assert (got.samples, got.method) == (want.samples, want.method)
                 assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
                 assert got.std_error == pytest.approx(want.std_error, rel=1e-9)
                 assert got.std_error_jackknife == pytest.approx(want.std_error_jackknife, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [57, 2000, 2001])
+    def test_information_over_merged_chunks(self, n, monkeypatch):
+        """The moments merged over one chunk per jackknife block (``_CHUNK``
+        patched to 16), with the bounds times the value's condition number
+        c = max(1, |log2 ybar| / value): the value is zbar / ybar - log2 ybar,
+        so where an outcome gains little information (lam near 1) a last-bit
+        difference in either side's means comes out c times larger."""
+        monkeypatch.setattr(oracle, "_CHUNK", 16)
+        r, ops = self.cases(n)
+        for op in ops:
+            got, (want, _, _) = estimate_information(op, r), allocating_estimates(op, r)
+            ybar = float(np.mean(outcome_q(op, r)))
+            c = max(1.0, abs(math.log2(ybar) / want.value)) if want.value else 1.0
+            self.assert_information_close(op, got, want, c)
 
 
 class TestQuadratureAgreement:
