@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
     lams12 = [_round12(lam) for lam in lams]
 
     for lam, lam12 in zip(lams, lams12):
-        op = MeasurementOperator(np.diag([1.0, lam]))
+        op = MeasurementOperator(((1.0, 0.0), (0.0, lam)))
         first = len(checks)
         for quantity, (closed_form, quadrature, monte_carlo) in QUANTITIES.items():
             try:  # the oracles' own guard, asked first so that a skipped row runs neither

@@ -30,9 +30,11 @@ Conventions shared by both routes:
 * the graded rules and the tensor rule's mean of x are built once, on first
   use, and shared;
 * one routine, ``_moments``, forms the sample mean, covariance and
-  leave-one-block-out means of x (see ``Estimate``), in one chunk up to
-  ``_CHUNK`` states and a jackknife block at a time above: for a ``Batch``
-  on its first use, and from (q, q log2 q) for each information estimate.
+  leave-one-block-out means of x (see ``Estimate``) over a table of chunks
+  built once per n, one chunk up to ``_CHUNK`` states and a jackknife block
+  at a time above: for a ``Batch`` on its first use, and for each
+  information estimate from x = (q, q log2 q), which needs no ``coef``. It
+  rejects a state with a non-finite entry before any arithmetic on it.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ _CHUNK = 2**13
 #: Gauss-Legendre nodes of every quadrature rule, per subinterval in u.
 NODES = 64
 
-#: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ.
+#: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ,
+#: and its weight in a symmetric form: twice over for i < j.
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 _PAIRS = tuple(np.array(_UPPER).T)
+_WEIGHTED = [(i, j, 2.0 - (i == j)) for i, j in _UPPER]
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class Batch(np.ndarray):
 
     @functools.cached_property
     def moments(self) -> tuple:
-        return _moments(lambda lo, hi: _monomials(self[:, lo:hi]), self.shape[1])
+        return _moments(self, _monomials)
 
 
 def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
@@ -112,33 +116,37 @@ def _monomials(r: np.ndarray) -> np.ndarray:
     return x[_PAIRS[0]] * x[_PAIRS[1]]
 
 
-def _moments(rows: Callable[[int, int], np.ndarray], n: int) -> tuple:
+def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """Mean, covariance and leave-one-block-out means (a column per jackknife
-    block) of x = ``rows(lo, hi)`` over states lo to hi, and n. Per chunk (all
-    blocks up to ``_CHUNK`` states, else one), one ``reduceat`` for the block
-    sums and one ``dot`` for the cross products about the first chunk's
-    mean, moved to the batch mean at the end (Chan, Golub & LeVeque)."""
+    block) of x = ``rows(r[:, lo:hi])``, and n, over the chunks lo to hi of
+    ``_jackknife_blocks``. Per chunk, one ``reduceat`` for the block sums and
+    one ``dot`` for the cross products about the first chunk's mean, moved to
+    the batch mean at the end (Chan, Golub & LeVeque). A chunk of r whose sum
+    of squares is not finite (a NaN or infinite entry, or one whose square
+    overflows) raises DomainError before ``rows`` sees it."""
+    n = r.shape[1]
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    starts, kept = _jackknife_blocks(n)
-    step = starts.size if n <= _CHUNK else 1
-    edges, dev, m2 = starts.tolist() + [n], 0.0, 0.0
-    for k in range(0, starts.size, step):
-        lo, hi = edges[k], edges[k + step]
-        x = rows(lo, hi)
-        if k == 0:
-            total, sums = np.add.reduce(x, axis=1), np.empty((len(x), starts.size))
+    chunks, kept = _jackknife_blocks(n, _CHUNK)
+    dev = m2 = 0.0
+    for lo, hi, starts, cols in chunks:
+        chunk = r[:, lo:hi]
+        if not math.isfinite(np.vdot(chunk, chunk)):
+            raise DomainError("Bloch vectors must be finite")
+        x = rows(chunk)
+        if lo == 0:
+            total, sums = np.add.reduce(x, axis=1), np.empty((len(x), kept.size))
             mean = total / hi
-        np.add.reduceat(x, starts[k:k + step] - lo, axis=1, out=sums[:, k:k + step])
+        np.add.reduceat(x, starts, axis=1, out=sums[:, cols])
         x -= mean[:, None]
         m2 += np.dot(x, x.T)
-        if n > _CHUNK:
+        if len(chunks) > 1:
             dev += np.add.reduce(x, axis=1)
-    if n > _CHUNK:  # from the first chunk's mean to the batch mean; one chunk has none
+    if len(chunks) > 1:  # from the first chunk's mean to the batch mean; one chunk has none
         m2 -= dev[:, None] * (dev / n)
         mean = mean + dev / n
         total = mean * n
-    return mean, m2 * np.true_divide(1, n - 1), (total[:, None] - sums) / kept, n
+    return mean, m2 * (1.0 / (n - 1)), (total[:, None] - sums) / kept, n
 
 
 def _pauli(a) -> tuple:
@@ -159,14 +167,15 @@ def _q_coef(op: MeasurementOperator) -> np.ndarray:
     Uses the raw matrix, so any right unitary factor shows up pointwise (its
     effect must — and does — wash out of uniform averages)."""
     a, c, b = _gram(op.matrix)
-    g0, g = _pauli(((a, b), (b.conjugate(), c)))
+    g0, (g1, g2, g3) = _pauli(((a, b), (b.conjugate(), c)))
     k2 = op.kappa * op.kappa
-    return np.array([g0.real / k2] + [x.real / k2 for x in g] + [0.0] * 6)
+    return np.array([g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2] + [0.0] * 6)
 
 
 def _amplitude_pauli(op: MeasurementOperator) -> tuple:
     """Pauli coefficients of u D: canonical left factor u, core D = diag(1, lam)."""
-    return _pauli((op.canonical.u * [1.0, op.lam]).tolist())
+    (u00, u01), (u10, u11) = op.canonical.u.tolist()
+    return _pauli(((u00, u01 * op.lam), (u10, u11 * op.lam)))
 
 
 def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
@@ -174,18 +183,17 @@ def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
     the fidelity integrand ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from
     ``_amplitude_pauli``: Re(c_i* c_j), twice over for i < j."""
     b0, b = _amplitude_pauli(op)
-    c, lam = (b0,) + b, op.lam
+    re, im, lam = [c.real for c in (b0, *b)], [c.imag for c in (b0, *b)], op.lam
     return np.array([
         [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
-        [(c[i].real * c[j].real + c[i].imag * c[j].imag) * (2.0 - (i == j)) for i, j in _UPPER],
+        [(re[i] * re[j] + im[i] * im[j]) * w for i, j, w in _WEIGHTED],
     ])
 
 
 def _xlog2x(q: np.ndarray) -> np.ndarray:
     """q log2 q, taken as its limit 0 where q <= 0."""
     t = np.maximum(q, 1e-300)
-    np.log2(t, out=t)
-    t *= q
+    np.multiply(np.log2(t, out=t), q, out=t)
     np.copyto(t, 0.0, where=~(q > 0.0))
     return t
 
@@ -197,34 +205,48 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 
 @functools.lru_cache
-def _jackknife_blocks(n: int) -> tuple:
-    """Start index and leave-one-out size of each block that
-    ``np.array_split`` makes of ``n`` samples."""
+def _jackknife_blocks(n: int, chunk: int) -> tuple:
+    """The chunks that ``_moments`` reads of ``n`` samples: all jackknife
+    blocks (those of ``np.array_split``) in one up to ``chunk`` states, else
+    one block each. Per chunk its first state, its end, its blocks' read-only
+    starts relative to the first and its columns of the block sums; and each
+    block's read-only leave-one-out size."""
     blocks = min(_JACKKNIFE_BLOCKS, n)
     k = np.arange(blocks)
     starts = k * (n // blocks) + np.minimum(k, n % blocks)
-    return _read_only(starts, n - np.diff(starts, append=n))
+    step, edges = blocks if n <= chunk else 1, starts.tolist() + [n]
+    chunks = tuple(
+        (edges[i], edges[i + step], _read_only(starts[i:i + step] - edges[i])[0],
+         slice(i, i + step))
+        for i in range(0, blocks, step)
+    )
+    return chunks, _read_only(n - np.diff(starts, append=n))[0]
 
 
 def _ratio_estimate(
-    coef: np.ndarray, moments: tuple, fn: Callable[..., float], grad: Callable[..., tuple]
+    coef: Optional[np.ndarray], moments: tuple, fn: Callable[..., float],
+    grad: Callable[..., tuple],
 ) -> Estimate:
-    """Monte Carlo estimate ``fn(*means)``, means = ``coef @ mean``, from the
-    sample moments ``(mean, cov, loo, n)`` of some x; the first mean is q's
-    and must be positive. The delta-method standard error projects the
-    gradient onto x, d = ``grad(*means) @ coef``, before the covariance:
-    ``sqrt(d . cov . d / n)``. The jackknife one applies ``fn`` to the
-    leave-one-block-out means, the columns of ``loo``."""
+    """Monte Carlo estimate ``fn(*means)``, means = ``coef @ mean`` (the mean
+    itself where coef is None), from the sample moments ``(mean, cov, loo, n)``
+    of some x; the first mean is q's and must be positive. The delta-method
+    standard error projects the gradient onto x, d = ``grad(*means) @ coef``,
+    before the covariance: ``sqrt(d . cov . d / n)``. The jackknife one
+    applies ``fn`` to the leave-one-block-out means, the columns of ``loo``."""
     mean, cov, loo, n = moments
-    means = (coef @ mean).tolist()
+    if coef is not None:  # .dot, not @: the same BLAS call without matmul's overhead
+        mean, loo = coef.dot(mean), coef.dot(loo)
+    means = mean.tolist()
     if means[0] <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
-    d = np.array(grad(*means)) @ coef
-    estimates = fn(*(coef @ loo))
+    d = np.array(grad(*means))
+    if coef is not None:
+        d = d.dot(coef)
+    estimates = fn(*loo)
     blocks = estimates.size
     estimates -= np.add.reduce(estimates) / blocks
     jackknife = math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
-    std_error = math.sqrt(max(float(d @ cov @ d) / n, 0.0))
+    std_error = math.sqrt(max(float(d.dot(cov).dot(d)) / n, 0.0))
     return Estimate(float(fn(*means)), std_error, n, "monte-carlo", jackknife)
 
 
@@ -238,15 +260,15 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     """
     coef = _q_coef(op)
 
-    def rows(lo, hi):  # information's x: q and q log2 q
-        x = np.empty((2, hi - lo))
-        np.dot(coef[1:4], r[:, lo:hi], out=x[0])
+    def rows(chunk):  # information's x: q and q log2 q, the means' own rows
+        x = np.empty((2, chunk.shape[1]))
+        np.dot(coef[1:4], chunk, out=x[0])
         x[0] += coef[0]
         x[1] = _xlog2x(x[0])
         return x
 
     return _ratio_estimate(
-        np.eye(2), _moments(rows, r.shape[1]), lambda ym, zm: zm / ym - np.log2(ym),
+        None, _moments(r, rows), lambda ym, zm: zm / ym - np.log2(ym),
         lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
     )
 
@@ -319,8 +341,8 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
     depth = math.ceil(math.log(1.0 / max(lam * lam, 2.0**-53), 8))
     u, w = _gauss_legendre(depth)
     q = _q(lam, u)
-    qbar = 0.5 * float(np.sum(w * q))
-    qlog = 0.5 * float(np.sum(w * _xlog2x(q)))
+    qbar = 0.5 * float(np.add.reduce(w * q))
+    qlog = 0.5 * float(np.add.reduce(w * _xlog2x(q)))
     value = qlog / qbar - math.log2(qbar)
     return Estimate(value=value, std_error=0.0, samples=q.size, method="quadrature")
 
@@ -329,7 +351,7 @@ def quadrature_fidelity(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean-fidelity average, ``zbar / qbar``
     with each ``coef @ mean`` of x as in ``estimate_fidelity``, over the tensor
     rule of ``NODES`` Gauss-Legendre points in u times ``2 * NODES`` in phi."""
-    qbar, zbar = (_fidelity_coef(op) @ _rule_mean()).tolist()
+    qbar, zbar = _fidelity_coef(op).dot(_rule_mean()).tolist()
     return Estimate(zbar / qbar, 0.0, 2 * NODES * NODES, "quadrature")
 
 
@@ -345,5 +367,5 @@ def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """
     lam = op.lam
     _check_reversible(lam)
-    qbar = float(_q_coef(op) @ _rule_mean())
+    qbar = float(_q_coef(op).dot(_rule_mean()))
     return Estimate(value=lam * lam / qbar, std_error=0.0, samples=NODES, method="quadrature")

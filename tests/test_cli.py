@@ -266,6 +266,32 @@ class TestVerify:
                 assert mc["std_error_jackknife"] == est.std_error_jackknife > 0.0
         assert rows == []
 
+    def test_edge_rows_match_the_oracles(self, capsys):
+        """From lam = 0, where reversibility is skipped, to the degenerate
+        lam = 1, every quadrature and Monte Carlo row carries the oracles'
+        own estimate for diag(1, lam)."""
+        code, out, _ = run(capsys, "verify", "--lambda-min", "0", "--lambda-max", "1",
+                           "--points", "5", "--samples", "2000", "--seed", "3")
+        assert code == 0
+        rows = json.loads(out)["checks"]
+        r = cli.oracle.sample_bloch_vectors(np.random.default_rng(3), 2000)
+        for lam in np.linspace(0.0, 1.0, 5).tolist():
+            op = cli.MeasurementOperator(np.diag([1.0, lam]))
+            for quantity, (_, quadrature, monte_carlo) in cli.QUANTITIES.items():
+                if quantity == "reversibility" and lam == 0.0:
+                    assert rows.pop(0) == {"lambda": 0.0, "quantity": quantity,
+                                           "method": "skipped", "note": "irreversible",
+                                           "passed": True}
+                    continue
+                for est in (quadrature(op), monte_carlo(op, r)):
+                    row = rows.pop(0)
+                    assert (row["lambda"], row["quantity"]) == (lam, quantity)
+                    assert (row["method"], row["value"]) == (est.method, est.value)
+                    assert row.get("std_error_jackknife") == est.std_error_jackknife
+                    assert row["bound"] == (cli._VERIFY_TOLERANCE if est.method == "quadrature"
+                                            else max(4.0 * est.std_error, 1e-12))
+        assert rows == []
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, *self.ARGS)
         _, second, _ = run(capsys, *self.ARGS)

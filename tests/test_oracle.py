@@ -212,6 +212,38 @@ class TestPauliIntegrands:
             assert np.max(np.abs(q - (g[0] + g[1:] @ r))) <= 1e-15 * np.max(q)
             assert np.max(np.abs(q - _q_coef(op) @ _monomials(r))) <= 1e-15 * np.max(q)
 
+    @staticmethod
+    def per_entry_rows(op):
+        """q's row and the fidelity's two rows, entry by entry from the
+        NumPy product u * [1, lam] and the weight 2 - (i == j)."""
+        a, c, b = _gram(op.matrix)
+        g0, g = _pauli(((a, b), (b.conjugate(), c)))
+        k2 = op.kappa * op.kappa
+        q = np.zeros(10)
+        for k, gk in enumerate((g0,) + g):
+            q[k] = gk.real / k2
+        b0, b = _pauli((op.canonical.u * [1.0, op.lam]).tolist())
+        amp, lam = (b0,) + b, op.lam
+        fid = np.zeros((2, 10))
+        fid[0, 0], fid[0, 3] = 0.5 * (1.0 + lam * lam), 0.5 * (1.0 - lam) * (1.0 + lam)
+        for k, (i, j) in enumerate((i, j) for i in range(4) for j in range(i, 4)):
+            fid[1, k] = amp[i].real * amp[j].real + amp[i].imag * amp[j].imag
+            fid[1, k] *= 2.0 - (i == j)
+        return q, fid
+
+    def test_coefficient_rows_match_per_entry_form(self):
+        """Bit for bit, on random operators with non-trivial right factors,
+        verify's diag(1, lam) at both ends and a Hadamard-rotated operator."""
+        ops = list(self.operators(np.random.default_rng(44), 5000))
+        ops += [diag_op(lam) for lam in (0.0, 1e-300, 0.5, 1.0)]
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        ops.append(MeasurementOperator(h @ np.diag([1.0, 0.5])))
+        for op in ops:
+            q, fid = self.per_entry_rows(op)
+            assert _q_coef(op).tobytes() == q.tobytes(), op
+            assert _fidelity_coef(op).tobytes() == fid.tobytes(), op
+
+
 
 class TestIdentityOperator:
     """kappa = lam = 1 leaves every state alone; all estimators must be
@@ -507,6 +539,74 @@ class TestBatchMoments:
             for got, want in ((estimate_fidelity(op, batch), fid),
                               (estimate_reversibility(op, batch), rev)):
                 assert abs(got.std_error - want) <= 1e-10 * want, (op.lam, got.std_error, want)
+
+
+class TestChunkTable:
+    """The per-n table of chunks that ``_moments`` loops over, built once."""
+
+    SIZES = [2, 57, 199, 2000, oracle._CHUNK, oracle._CHUNK + 1, 10**6]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_chunks_hold_the_array_split_blocks(self, n):
+        """The chunks cover [0, n) once and in order, all blocks in one up to
+        ``_CHUNK`` states and one block each above; their blocks are those
+        of np.array_split, and every array in the table is read-only."""
+        chunks, kept = oracle._jackknife_blocks(n, oracle._CHUNK)
+        assert len(chunks) == (1 if n <= oracle._CHUNK else 100)
+        assert [lo for lo, _, _, _ in chunks] == [0] + [hi for _, hi, _, _ in chunks[:-1]]
+        assert chunks[-1][1] == n
+        blocks = []
+        for lo, hi, starts, cols in chunks:
+            assert cols == slice(len(blocks), len(blocks) + starts.size)
+            edges = (lo + starts).tolist() + [hi]
+            blocks += [np.arange(a, b) for a, b in zip(edges, edges[1:])]
+        expected = np.array_split(np.arange(n), min(100, n))
+        assert len(blocks) == len(expected)
+        assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+        assert kept.tolist() == [n - e.size for e in expected]
+        for a in [kept] + [starts for _, _, starts, _ in chunks]:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_moments_read_each_chunk_once(self, n):
+        r = np.random.default_rng(n).uniform(-1.0, 1.0, (3, n))
+        spans = []
+
+        def rows(chunk):
+            spans.append(chunk.shape[1])
+            return chunk.copy()
+
+        mean, _, loo, count = oracle._moments(r, rows)
+        chunks, _ = oracle._jackknife_blocks(n, oracle._CHUNK)
+        assert spans == [hi - lo for lo, hi, _, _ in chunks]
+        assert count == n and loo.shape == (3, min(100, n))
+        assert np.max(np.abs(mean - np.mean(r, axis=1))) <= 1e-15
+
+
+class TestNonFiniteStates:
+    """A NaN or an infinity in any row of r makes every Monte Carlo
+    estimator raise DomainError before NumPy warns, in the first chunk or
+    in a later one."""
+
+    OPS = (diag_op(0.5), MeasurementOperator(su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0))
+                                             @ np.diag([0.9, 0.35])))
+
+    @pytest.mark.parametrize("chunk", [oracle._CHUNK, 16])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, monkeypatch, chunk, value):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        n = 57
+        for row in range(3):
+            for column in (0, n - 1):
+                r = np.array(bloch(8, n))
+                r[row, column] = value
+                for op in self.OPS:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        for estimator in (estimate_information, estimate_fidelity,
+                                          estimate_reversibility):
+                            with pytest.raises(DomainError, match="finite"):
+                                estimator(op, r.view(oracle.Batch))
 
 
 def block_jackknife(data, totals, fn, blocks=100):
