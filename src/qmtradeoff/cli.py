@@ -316,10 +316,19 @@ def cmd_average(args) -> int:
     return 0
 
 
+def _natural(text: str) -> int:
+    """A seed or a count: an integer from 0 to 2**53, held exactly by every JSON
+    reader. A count NumPy cannot size is a usage error here, not a ValueError."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (value := int(text)) <= 2**53:
+            return value
+    raise argparse.ArgumentTypeError(f"expected an integer from 0 to 2**53, got {text!r}")
+
+
 def _add_grid_flags(p: argparse.ArgumentParser, lo: float, hi: float, n: int):
     p.add_argument("--lambda-min", type=float, default=lo, help="grid start")
     p.add_argument("--lambda-max", type=float, default=hi, help="grid end")
-    p.add_argument("--points", type=int, default=n, help="number of grid points")
+    p.add_argument("--points", type=_natural, default=n, help="number of grid points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check closed forms against the oracles")
     _add_grid_flags(p, 0.05, 0.95, 19)
-    p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+    p.add_argument("--samples", type=_natural, default=1_000_000, help="Monte Carlo samples")
+    p.add_argument("--seed", type=_natural, required=True, help="RNG seed (mandatory)")
     p.add_argument("--output", default=None, help="write the JSON report to a file")
     p.set_defaults(func=cmd_verify)
 
@@ -358,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--theta", type=float, required=True, help="state polar angle")
     p.add_argument("--phi", type=float, default=0.0, help="state azimuthal angle")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+    p.add_argument("--trials", type=_natural, default=100_000)
+    p.add_argument("--seed", type=_natural, required=True, help="RNG seed (mandatory)")
     p.set_defaults(func=cmd_simulate_reversal)
 
     p = sub.add_parser("average", help="outcome-averaged quantities of a complete set")

@@ -13,9 +13,9 @@ Conventions shared by both routes:
   state enters only through its Bloch vector r = (s cos phi, s sin phi, u),
   s = √(1 - u²);
 * writing a 2x2 matrix as a0 I + a . sigma, <psi|a|psi> = a0 + a . r. So q
-  is g0 + g . r with the Pauli coefficients of M†M / kappa^2 (from
-  ``linalg._gram``), and the fidelity amplitude <psi|u D|psi> is c . (1, r)
-  with those of u diag(1, lam);
+  is g0 + g . r with the Pauli coefficients of the raw M†M / kappa^2 (from
+  ``linalg._gram``; only the fidelity reads the canonical q), and the
+  fidelity amplitude <psi|u D|psi> is c . (1, r) with those of u diag(1, lam);
 * q and |c . (1, r)|^2 are linear in x = (1, r, r_i r_j for i <= j), so
   both routes take the fidelity and the reversibility from ``coef @ mean``
   of x: the mean of a tensor rule (Gauss-Legendre in u times a uniform rule
@@ -23,10 +23,10 @@ Conventions shared by both routes:
   one batch to every estimator at every lam, so one unlucky batch fails a
   band of lam together (README, *Numerical notes*, gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
-  or node. q is linear in u and vanishes about 2 lam^2 beyond u = -1,
-  where q log q is not analytic, so the information quadrature maps the
-  rule onto subintervals graded geometrically toward u = -1, as many as
-  lam needs (one interval at lam = 1), down to lam = 0;
+  or node. The information quadrature runs along g, q = g0 + |g| u, as the
+  prior is rotation invariant. q vanishes about 2 lam^2 beyond u = -1, where
+  q log q is not analytic, so the rule is mapped onto subintervals graded
+  toward u = -1, as many as lam needs (one at lam = 1), down to lam = 0;
 * the graded rules and the tensor rule's mean of x are built once, on first
   use, and shared;
 * one routine, ``_moments``, forms the sample mean, covariance and
@@ -156,11 +156,6 @@ def _pauli(a) -> tuple:
     return 0.5 * (a00 + a11), (0.5 * (a01 + a10), 0.5j * (a01 - a10), 0.5 * (a00 - a11))
 
 
-def _q(lam: float, u: np.ndarray) -> np.ndarray:
-    """q of the canonical operator, linear in u: ``[(1 + lam^2) + u (1 - lam^2)] / 2``."""
-    return 0.5 * ((1.0 + lam * lam) + u * (1.0 - lam * lam))
-
-
 def _q_coef(op: MeasurementOperator) -> np.ndarray:
     """Coefficients on x of q = <psi|M†M|psi> / kappa^2 = g0 + g . r, the Pauli
     coefficients of linalg._gram's M†M = [[a, b], [conj(b), c]] over kappa^2.
@@ -223,31 +218,32 @@ def _jackknife_blocks(n: int, chunk: int) -> tuple:
     return chunks, _read_only(n - np.diff(starts, append=n))[0]
 
 
-def _ratio_estimate(
-    coef: Optional[np.ndarray], moments: tuple, fn: Callable[..., float],
-    grad: Callable[..., tuple],
-) -> Estimate:
-    """Monte Carlo estimate ``fn(*means)``, means = ``coef @ mean`` (the mean
-    itself where coef is None), from the sample moments ``(mean, cov, loo, n)``
-    of some x; the first mean is q's and must be positive. The delta-method
-    standard error projects the gradient onto x, d = ``grad(*means) @ coef``,
-    before the covariance: ``sqrt(d . cov . d / n)``. The jackknife one
-    applies ``fn`` to the leave-one-block-out means, the columns of ``loo``."""
+def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple, information: bool) -> Estimate:
+    """Monte Carlo estimate of zbar / qbar, less log2 qbar for information,
+    with (qbar, zbar) = ``coef @ mean`` (the mean itself where coef is None)
+    from the sample moments ``(mean, cov, loo, n)`` of some x; qbar must be
+    positive. The delta-method standard error projects the gradient
+    (-zbar / qbar^2 [- 1 / (qbar ln 2)], 1 / qbar) onto x, d = ``grad @ coef``,
+    before the covariance: ``sqrt(d . cov . d / n)``. The jackknife one takes
+    the same ratio of the leave-one-block-out means, the columns of ``loo``."""
     mean, cov, loo, n = moments
     if coef is not None:  # .dot, not @: the same BLAS call without matmul's overhead
         mean, loo = coef.dot(mean), coef.dot(loo)
-    means = mean.tolist()
-    if means[0] <= 0.0:
+    (y, z), (ys, zs) = mean.tolist(), loo
+    if y <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
-    d = np.array(grad(*means))
+    grad, value, estimates = [-z / y**2, 1.0 / y], z / y, zs / ys
+    if information:
+        grad[0] -= 1.0 / (y * math.log(2.0))
+        value, estimates = value - np.log2(y), estimates - np.log2(ys)
+    d = np.array(grad)
     if coef is not None:
         d = d.dot(coef)
-    estimates = fn(*loo)
     blocks = estimates.size
     estimates -= np.add.reduce(estimates) / blocks
     jackknife = math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
     std_error = math.sqrt(max(float(d.dot(cov).dot(d)) / n, 0.0))
-    return Estimate(float(fn(*means)), std_error, n, "monte-carlo", jackknife)
+    return Estimate(float(value), std_error, n, "monte-carlo", jackknife)
 
 
 def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
@@ -267,10 +263,7 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
         x[1] = _xlog2x(x[0])
         return x
 
-    return _ratio_estimate(
-        None, _moments(r, rows), lambda ym, zm: zm / ym - np.log2(ym),
-        lambda ym, zm: (-zm / ym**2 - 1.0 / (ym * math.log(2.0)), 1.0 / ym),
-    )
+    return _ratio_estimate(None, _moments(r, rows), True)
 
 
 def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
@@ -279,16 +272,13 @@ def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
     ``|<psi| u D |psi>|^2`` and of q, each ``coef @ mean`` of x as in
     ``quadrature_fidelity``. Uses the canonical left factor, matching the
     single-outcome relabeling convention."""
-    return _ratio_estimate(
-        _fidelity_coef(op), batch.moments, lambda ym, zm: zm / ym,
-        lambda ym, zm: (-zm / ym**2, 1.0 / ym),
-    )
+    return _ratio_estimate(_fidelity_coef(op), batch.moments, False)
 
 
 def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean reversal success probability,
-    ``lam^2 / qbar``, over a :class:`Batch` of states, with qbar
-    ``coef @ mean`` of x as in ``quadrature_reversibility``.
+    ``lam^2 / qbar``, over a :class:`Batch` of states: zbar / qbar with the
+    two rows q, as in ``quadrature_reversibility``, and lam^2 x_0 (x_0 = 1).
 
     Raises
     ------
@@ -296,10 +286,8 @@ def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
         If the strength ratio vanishes: there is no reversal to estimate.
     """
     _check_reversible(op.lam)
-    lam2 = op.lam * op.lam
-    return _ratio_estimate(
-        _q_coef(op)[None], batch.moments, lambda ym: lam2 / ym, lambda ym: (-lam2 / ym**2,)
-    )
+    coef = np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9])
+    return _ratio_estimate(coef, batch.moments, False)
 
 
 @functools.lru_cache
@@ -329,18 +317,19 @@ def _rule_mean() -> np.ndarray:
 def quadrature_information(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
-    q log2 q is not analytic at the zero of q, which lies about 2 lam^2
-    beyond u = -1, so a single rule converges slowly at small lam. The
-    ``NODES``-point rule is therefore applied on subintervals graded toward
-    u = -1, K = ceil(log_8(1 / lam^2)) of them below u = -3/4, so that the
-    innermost one is no wider than that distance (``samples`` counts every
-    node). K stops growing where 1 + lam^2 rounds to 1: from there on q is
-    q at lam = 0, and q log2 q is taken as 0 where q vanishes.
+    Along g, as the prior is rotation invariant: q = g0 + |g| u from
+    ``_q_coef``. q log2 q is not analytic at the zero of q, which lies about
+    2 lam^2 beyond u = -1, so a single rule converges slowly at small lam.
+    The ``NODES``-point rule is therefore applied on subintervals graded
+    toward u = -1, K = ceil(log_8(1 / lam^2)) of them below u = -3/4, so
+    that the innermost one is no wider than that distance (``samples``
+    counts every node). K stops growing where 1 + lam^2 rounds to 1: from
+    there on q is q at lam = 0, and q log2 q is taken as 0 where q vanishes.
     """
-    lam = op.lam
-    depth = math.ceil(math.log(1.0 / max(lam * lam, 2.0**-53), 8))
+    depth = math.ceil(math.log(1.0 / max(op.lam * op.lam, 2.0**-53), 8))
     u, w = _gauss_legendre(depth)
-    q = _q(lam, u)
+    g = _q_coef(op).tolist()
+    q = g[0] + math.hypot(g[1], g[2], g[3]) * u
     qbar = 0.5 * float(np.add.reduce(w * q))
     qlog = 0.5 * float(np.add.reduce(w * _xlog2x(q)))
     value = qlog / qbar - math.log2(qbar)

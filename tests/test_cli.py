@@ -754,6 +754,35 @@ def test_every_package_error_is_usage_error(capsys, monkeypatch, exc):
     assert err == "error: rejected\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("verify", "--points", "1", "--samples", "1000"), "--seed", "-1"),
+        (("simulate-reversal", "--lambda", "0.5", "--theta", "1"), "--seed", "-1"),
+        (("verify", "--seed", "1"), "--samples", "10000000000000000000"),
+        (("simulate-reversal", "--lambda", "0.5", "--theta", "1", "--seed", "1"),
+         "--trials", "10000000000000000000"),
+        (("sweep",), "--points", "10000000000000000000"),
+        (("verify", "--seed", "1"), "--samples", "3074457345618258603"),
+    ],
+    ids=["verify-seed", "simulate-seed", "samples", "trials", "points", "samples-too-big"],
+)
+def test_bad_seed_or_count_is_usage_error(capsys, argv, flag, value):
+    """A negative seed, or a count that NumPy refuses to size, exits 2 with
+    one error line from the argument parser, not a traceback and exit 1.
+    Every count here is above 2**61, so nothing is allocated."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"qmtradeoff {argv[0]}: error: argument {flag}: "
+        f"expected an integer from 0 to 2**53, got '{value}'"
+    )
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -19,14 +19,16 @@ from qmtradeoff.measurement import (
     outcome_probability,
     two_outcome_family,
 )
-from qmtradeoff.oracle import _q
+from qmtradeoff.oracle import _q_coef
 
 from state_reference import from_amplitudes_reference
 
 
 def q_value(lam, theta):
-    """The package's one q, the oracle's, at the state's polar angle."""
-    return _q(lam, math.cos(theta))
+    """The package's one q, the oracle's, of diag(1, lam) at the state's
+    polar angle: its coefficients on x at r = (sin theta, 0, cos theta)."""
+    g = _q_coef(MeasurementOperator(np.diag([1.0, lam])))
+    return float(g[:4] @ [1.0, math.sin(theta), 0.0, math.cos(theta)])
 
 
 class TestPureState:

@@ -20,7 +20,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from qmtradeoff import analytics, oracle
-from qmtradeoff.errors import DomainError, IrreversibleError
+from qmtradeoff.errors import DegenerateSampleError, DomainError, IrreversibleError
 from qmtradeoff.linalg import Su2Params, _gram, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
@@ -267,6 +267,25 @@ class TestIdentityOperator:
         assert quadrature_information(op).value == pytest.approx(0.0, abs=1e-14)
         assert quadrature_fidelity(op).value == pytest.approx(1.0, abs=1e-14)
         assert quadrature_reversibility(op).value == pytest.approx(1.0, abs=1e-14)
+
+
+class TestDegenerateSample:
+    """diag(1, 0) annihilates the state at r = (0, 0, -1), so on a batch of
+    only that state q is 0 everywhere: the shared qbar <= 0 guard raises
+    before any division can warn, with one state per jackknife block (57) and
+    at the dense verify's 2000."""
+
+    @pytest.mark.parametrize("n", [57, 2000])
+    @pytest.mark.parametrize("estimate", [estimate_information, estimate_fidelity])
+    def test_vanishing_q_raises(self, n, estimate):
+        r = np.zeros((3, n))
+        r[2] = -1.0
+        batch = r.view(oracle.Batch)
+        batch.setflags(write=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSampleError, match="not positive"):
+                estimate(diag_op(0.0), batch)
 
 
 class TestMonteCarloAgreement:
@@ -751,6 +770,29 @@ class TestQuadratureAgreement:
                 assert abs(quadrature_information(op).value - ref_i) < 1e-10
                 assert abs(quadrature_reversibility(op).value - ref_r) < 1e-10
 
+    def test_wrong_gram_fails_the_information_checks(self, monkeypatch):
+        """Negative control: both information oracles read q from the raw
+        operator's Gram matrix, so twice its off-diagonal entry makes the
+        quadrature miss the closed form by more than verify's 1e-8 (by 0.33
+        here), and the Monte Carlo estimate by more than 4 sigma (20 sigma)."""
+        rng = np.random.default_rng(1)
+        u, v = (su2_matrix(Su2Params(*rng.uniform(-np.pi, np.pi, 4))) for _ in range(2))
+        op = MeasurementOperator(u @ np.diag([0.9, 0.35]) @ v)
+        reference = analytics.information_gain(op.lam)
+        r = bloch(1, 2000)
+        assert abs(quadrature_information(op).value - reference) < 1e-12
+        est = estimate_information(op, r)
+        assert abs(est.value - reference) <= 4.0 * est.std_error
+
+        def doubled(m):
+            a, c, b = _gram(m)
+            return a, c, 2.0 * b
+
+        monkeypatch.setattr(oracle, "_gram", doubled)
+        assert abs(quadrature_information(op).value - reference) > 1e-8
+        est = estimate_information(op, r)
+        assert abs(est.value - reference) > 4.0 * est.std_error
+
     def test_graded_rule_below_cutoff(self):
         """The zero of q sits within ~2 lam^2 of u = -1; the graded rule must
         meet the closed form to 1e-12 on all of [0, 1], across the depth
@@ -928,7 +970,8 @@ class TestNodeCache:
         half = 0.5 * np.diff(edges)[:, None]
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         gu, gw = (mid + half * u).ravel(), (half * w).ravel()
-        q = 0.5 * ((1.0 + lam * lam) + gu * (1.0 - lam * lam))
+        g0, g1, g2, g3 = _q_coef(self.OP)[:4].tolist()
+        q = g0 + math.hypot(g1, g2, g3) * gu
         qbar = 0.5 * float(np.sum(gw * q))
         qlog = 0.5 * float(np.sum(gw * (q * np.log2(q))))
         phi = np.arange(2 * NODES) * (2.0 * math.pi / (2 * NODES))
