@@ -3,9 +3,12 @@
 
 None of the scalar formulas in analytics are trusted on their own: each is
 the value of an integral over all qubit states, and this script evaluates
-those integrals two independent ways -- Gauss-Legendre quadrature (exact to
-~1e-12 for smooth integrands) and seeded Monte Carlo with delta-method
-error bars -- then compares. The CLI `verify` subcommand runs the same
+those integrals two independent ways -- quadrature and seeded Monte Carlo
+with delta-method error bars -- then compares. The fidelity and
+reversibility integrands are polynomials of degree 2 on the sphere, so their
+quadrature takes the sphere's exact moments (six points, an octahedron);
+the information integrand q log q is not, so its quadrature is graded
+64-node Gauss-Legendre in cos(theta). The CLI `verify` subcommand runs the same
 comparison over a full grid and emits a JSON report.
 """
 
@@ -23,7 +26,8 @@ SAMPLES = 400_000
 rng = np.random.default_rng(20260819)
 
 print(f"Monte Carlo: {SAMPLES} uniform Bloch-sphere states per lam, shared by its estimates.")
-print("quadrature: 64-node Gauss-Legendre in cos(theta).\n")
+print("quadrature: exact sphere moments for fidelity and reversibility,")
+print("graded 64-node Gauss-Legendre in cos(theta) for information.\n")
 
 header = "lam    quantity       closed        quad diff   MC z-score"
 print(header)

@@ -36,25 +36,16 @@ INFO_AT_ZERO = 1.0 - 1.0 / (2.0 * LN2)
 #: Fidelity-efficiency limit at lam=1: 1/ln 2.
 EFF_FIDELITY_AT_ONE = 1.0 / LN2
 
-# Taylor coefficients of the information gain about lam = 1, in powers of
-# x = 1 - lam, derived symbolically and frozen. The expansion starts at x^2:
-#   I(1-x) = [x^2/6 + x^3/6 + 7x^4/120 - x^5/20 - 2x^6/21 - 13x^7/168
-#             - 629x^8/20160] / ln 2 + O(x^9)
-_INFO_SERIES = (
-    1.0 / 6.0,
-    1.0 / 6.0,
-    7.0 / 120.0,
-    -1.0 / 20.0,
-    -2.0 / 21.0,
-    -13.0 / 168.0,
-    -629.0 / 20160.0,
-)
+# Normalized to mean 1, q = 1 + x u on u in [-1, 1], x = (1 - lam^2) / (1 + lam^2),
+# and I ln 2 = (1/2) int (1 + x u) ln(1 + x u) du = sum_j x^(2j) / (2j (2j-1) (2j+1)):
+# even powers only, every term positive. Coefficients for j = 18, ..., 1.
+_INFO_SERIES = tuple(1.0 / (2 * j * (2 * j - 1) * (2 * j + 1)) for j in range(18, 0, -1))
 
 #: Strength ratios above this use the series branch of the information gain.
 #: The direct form cancels to O((1-lam)^2), so its relative error grows as
-#: lam approaches 1. At this seam it is still accurate to ~5e-11 relative,
-#: the worst of either branch on [0, 1], and the 7-term series to ~1e-15.
-SERIES_SEAM = 1.0 - 1e-2
+#: lam approaches 1; at this seam (x ~ 0.355) it is ~1e-14. Above it, the
+#: first term that the 18-term series leaves out is below 1e-20 of the sum.
+SERIES_SEAM = 0.69
 
 #: Below this the information gain is indistinguishable from its lam=0 value
 #: in double precision (the correction is O(lam^2 / ln 2) < 1e-18).
@@ -73,12 +64,14 @@ def _check_lam(lam: float) -> float:
     return float(lam)
 
 
-def _info_series(x: float) -> float:
-    # Horner evaluation of sum_k c_k x^(k+2) / ln 2.
+def _info_series(d: float) -> float:
+    # The series in x^2 by Horner, x formed from d = 1 - lam without cancellation.
+    x = d * (2.0 - d) / (1.0 + (1.0 - d) ** 2)
+    x2 = x * x
     acc = 0.0
-    for c in reversed(_INFO_SERIES):
-        acc = acc * x + c
-    return acc * x * x / LN2
+    for c in _INFO_SERIES:
+        acc = acc * x2 + c
+    return acc * x2 / LN2
 
 
 def _info_direct(lam: float) -> float:
@@ -105,9 +98,11 @@ def information_gain(lam: float) -> float:
 
         1 - 1/(2 ln 2) - lam^4/(1 - lam^4) * log2(lam^2) - log2(1 + lam^2)
 
-    cancels to O((1-lam)^2) near lam = 1, so for ``lam > SERIES_SEAM``
-    the value comes from the frozen Taylor series about 1 instead; the two
-    branches agree to ~5e-11 relative at the seam.
+    cancels to O((1-lam)^2) near lam = 1, so for ``lam > SERIES_SEAM = 0.69``
+    the value comes from the positive series
+    ``sum_j x^(2j) / (2j (2j-1) (2j+1)) / ln 2`` in the slope
+    ``x = (1 - lam^2) / (1 + lam^2)`` of q instead; either branch is within
+    ~1e-14 relative of the exact value.
     """
     lam = _check_lam(lam)
     if lam < _INFO_SMALL_LAM:

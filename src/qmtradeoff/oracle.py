@@ -18,17 +18,16 @@ Conventions shared by both routes:
   fidelity amplitude <psi|u D|psi> is c . (1, r) with those of u diag(1, lam);
 * q and |c . (1, r)|^2 are linear in x = (1, r, r_i r_j for i <= j), so
   both routes take the fidelity and the reversibility from ``coef @ mean``
-  of x: the mean of a tensor rule (Gauss-Legendre in u times a uniform rule
-  in phi, exact here), or that of a ``Batch`` of states. ``verify`` hands
-  one batch to every estimator at every lam, so one unlucky batch fails a
-  band of lam together (README, *Numerical notes*, gives the rate);
+  of x: the sphere's exact mean ``_SPHERE_MEAN``, or that of a ``Batch`` of
+  states. ``verify`` hands one batch to every estimator at every lam, so
+  one unlucky batch fails a band of lam together (README, *Numerical
+  notes*, gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
   or node. The information quadrature runs along g, q = g0 + |g| u, as the
   prior is rotation invariant. q vanishes about 2 lam^2 beyond u = -1, where
   q log q is not analytic, so the rule is mapped onto subintervals graded
   toward u = -1, as many as lam needs (one at lam = 1), down to lam = 0;
-* the graded rules and the tensor rule's mean of x are built once, on first
-  use, and shared;
+* the graded rules are built once, on first use, and shared;
 * one routine, ``_moments``, forms the sample mean, covariance and
   leave-one-block-out means of x (see ``Estimate``) over a table of chunks
   built once per n, one chunk up to ``_CHUNK`` states and a jackknife block
@@ -57,7 +56,7 @@ _JACKKNIFE_BLOCKS = 100
 #: Most states that ``_moments`` reads as one chunk; above, one block per chunk.
 _CHUNK = 2**13
 
-#: Gauss-Legendre nodes of every quadrature rule, per subinterval in u.
+#: Gauss-Legendre nodes of the information quadrature, per subinterval in u.
 NODES = 64
 
 #: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ,
@@ -302,16 +301,10 @@ def _gauss_legendre(depth: int) -> tuple:
     return _read_only((mid + half * x).ravel(), (half * w).ravel())
 
 
-@functools.lru_cache
-def _rule_mean() -> np.ndarray:
-    """Read-only mean of x = ``_monomials(r)`` under the fidelity tensor rule:
-    (1, r) = f(u) h(phi), so each entry is a u sum times a phi mean."""
-    u, w = _gauss_legendre(0)
-    phi = np.arange(2 * NODES) * (math.pi / NODES)
-    s = np.sqrt((1.0 - u) * (1.0 + u))
-    f, h = np.array([u**0, s, s, u]), np.array([phi**0, np.cos(phi), np.sin(phi), phi**0])
-    m = np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)
-    return _read_only(m[_PAIRS])[0]
+#: Read-only mean of x over the uniform sphere, (1, 0, 0, 0, 1/3, 0, 0, 1/3, 0,
+#: 1/3): that over the six points ±e_k, an octahedron, which is exact for every
+#: polynomial of degree up to 3 in r (a spherical 3-design).
+_SPHERE_MEAN = _read_only(np.mean(_monomials(np.hstack((np.eye(3), -np.eye(3)))), axis=1))[0]
 
 
 def quadrature_information(op: MeasurementOperator) -> Estimate:
@@ -338,16 +331,17 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
 
 def quadrature_fidelity(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean-fidelity average, ``zbar / qbar``
-    with each ``coef @ mean`` of x as in ``estimate_fidelity``, over the tensor
-    rule of ``NODES`` Gauss-Legendre points in u times ``2 * NODES`` in phi."""
-    qbar, zbar = _fidelity_coef(op).dot(_rule_mean()).tolist()
-    return Estimate(zbar / qbar, 0.0, 2 * NODES * NODES, "quadrature")
+    with each ``coef @ mean`` of x as in ``estimate_fidelity``, over the six
+    points of ``_SPHERE_MEAN``: exact, since x has degree 2 in r."""
+    qbar, zbar = _fidelity_coef(op).dot(_SPHERE_MEAN).tolist()
+    return Estimate(zbar / qbar, 0.0, 6, "quadrature")
 
 
 def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean reversal success probability,
-    ``lam^2 / qbar`` with qbar ``coef @ mean`` of x under the tensor rule, as
-    in ``estimate_reversibility``: exact, since q is affine in r.
+    ``lam^2 / qbar`` with qbar ``coef @ mean`` of x over the six points of
+    ``_SPHERE_MEAN``, as in ``estimate_reversibility``: exact, since q is
+    affine in r.
 
     Raises
     ------
@@ -356,5 +350,5 @@ def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """
     lam = op.lam
     _check_reversible(lam)
-    qbar = float(_q_coef(op).dot(_rule_mean()))
-    return Estimate(value=lam * lam / qbar, std_error=0.0, samples=NODES, method="quadrature")
+    qbar = float(_q_coef(op).dot(_SPHERE_MEAN))
+    return Estimate(value=lam * lam / qbar, std_error=0.0, samples=6, method="quadrature")

@@ -236,8 +236,8 @@ class TestVerify:
                                 "failures", "passed", "batch"]
         assert report["batch"] == "per-run"
         assert '  "nodes": 64,\n  "tolerance": 1e-08,\n' in out
-        op = cli.MeasurementOperator(np.diag([1.0, 0.5]))
-        assert report["nodes"] == oracle.NODES == oracle.quadrature_reversibility(op).samples
+        op = cli.MeasurementOperator(np.diag([1.0, 1.0]))
+        assert report["nodes"] == oracle.NODES == oracle.quadrature_information(op).samples
         assert report["passed"] is True
         assert report["failures"] == 0
         assert report["seed"] == 20260819

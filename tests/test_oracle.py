@@ -25,13 +25,13 @@ from qmtradeoff.linalg import Su2Params, _gram, su2_matrix, su2_params
 from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
     NODES,
+    _SPHERE_MEAN,
     _amplitude_pauli,
     _fidelity_coef,
     _gauss_legendre,
     _monomials,
     _pauli,
     _q_coef,
-    _rule_mean,
     estimate_fidelity,
     estimate_information,
     estimate_reversibility,
@@ -853,9 +853,10 @@ class TestQuadratureAgreement:
 
 
 class TestMomentForm:
-    """The fidelity and reversibility quadratures sum the tensor rule through
-    its cached moments. They must equal the explicit sums over the rule's
-    points, and a wrong integrand must not slip through."""
+    """The fidelity and reversibility quadratures take the sphere's exact
+    moments. They must equal the explicit sums over the points of a tensor
+    rule that is exact for their degree-2 integrands, and a wrong integrand
+    must not slip through."""
 
     OP = MeasurementOperator(
         su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0)) @ np.diag([0.9, 0.35])
@@ -888,14 +889,14 @@ class TestMomentForm:
             fid, rev = self.explicit(op, u, w)
             got_fid = quadrature_fidelity(op)
             got_rev = quadrature_reversibility(op)
-            assert got_fid.samples == 2 * nodes * nodes and got_rev.samples == nodes
+            assert got_fid.samples == got_rev.samples == 6
             worst = max(worst, abs(got_fid.value - fid) / fid, abs(got_rev.value - rev) / rev)
         assert worst <= 1e-14
 
     def test_moments_are_symmetric_scalars(self):
-        """The rule's mean of x is the upper triangle of the symmetric second
-        moment matrix of (1, r) over the rule's points, summed here point by
-        point: ten read-only floats."""
+        """The sphere's mean of x is the upper triangle of the symmetric second
+        moment matrix of (1, r), summed here point by point over a tensor rule
+        that is exact for it: ten read-only floats."""
         u, w = leggauss(NODES)
         phi = np.arange(2 * NODES) * (math.pi / NODES)
         s = np.sqrt((1.0 - u) * (1.0 + u))[:, None]
@@ -903,7 +904,7 @@ class TestMomentForm:
         x = x.astype(np.longdouble)  # a point sum in double would be off by ~1e-14
         m = np.einsum("iab,jab,a->ij", x, x, 0.5 * w) / (2 * NODES)
         assert np.max(np.abs(m - m.T)) <= 1e-18
-        got = _rule_mean()
+        got = _SPHERE_MEAN
         assert got.shape == (10,) and got.dtype == np.float64 and not got.flags.writeable
         assert np.max(np.abs(got - m[np.triu_indices(4)])) <= 1e-15
 
@@ -953,15 +954,16 @@ class TestMomentForm:
 
 
 class TestNodeCache:
-    """The graded Gauss-Legendre rules and the tensor rule's moments are
-    built once and shared."""
+    """The graded Gauss-Legendre rules are built once and shared, and only
+    the information quadrature builds one."""
 
     OP = TestMomentForm.OP
 
     def reference(self):
         """All three quadratures from a freshly built rule, through the same
         formulas as the cached path: line sums for information, and
-        coef @ mean of x for fidelity and reversibility."""
+        coef @ mean of x, the sphere's exact moments, for fidelity and
+        reversibility."""
         u, w = leggauss(NODES)
         lam = self.OP.lam
         # The information rule is graded to depth ceil(log_8(1 / lam^2)) = 1
@@ -974,12 +976,7 @@ class TestNodeCache:
         q = g0 + math.hypot(g1, g2, g3) * gu
         qbar = 0.5 * float(np.sum(gw * q))
         qlog = 0.5 * float(np.sum(gw * (q * np.log2(q))))
-        phi = np.arange(2 * NODES) * (2.0 * math.pi / (2 * NODES))
-        s = np.sqrt((1.0 - u) * (1.0 + u))
-        f = np.array([np.ones_like(u), s, s, u])
-        h = np.array([np.ones_like(phi), np.cos(phi), np.sin(phi), np.ones_like(phi)])
-        m = np.add.reduce(0.5 * w * (f[:, None] * f), -1) * np.mean(h[:, None] * h, -1)
-        mean = m[np.triu_indices(4)]
+        mean = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 1.0 / 3.0])
         fbar, zbar = (_fidelity_coef(self.OP) @ mean).tolist()
         mbar = float(_q_coef(self.OP) @ mean)
         return qlog / qbar - math.log2(qbar), zbar / fbar, lam * lam / mbar
@@ -996,8 +993,10 @@ class TestNodeCache:
 
     def test_rule_is_built_lazily_at_nodes(self):
         """In a fresh process, importing the package calls no leggauss, and
-        the quadratures call it only as leggauss(64), from inside a
-        quadrature: a rule built at import would add to every start-up."""
+        the quadratures call it only as leggauss(64), from inside the
+        information quadrature: a rule built at import would add to every
+        start-up, and the polynomial quadratures need none; they read the
+        octahedron's read-only point mean."""
         script = """
 import json, sys
 import numpy as np
@@ -1034,7 +1033,16 @@ print(json.dumps(calls))
         assert len(calls) > 1
         for deg, quadratures in calls[1:]:
             assert deg == 64
-            assert len(quadratures) == 1
+            assert quadratures == ["quadrature_information"]
+        # What the polynomial quadratures read instead: the mean of x over the
+        # six points +-e_k, written out (each r_k^2 is 1 at two of them).
+        points = np.hstack((np.eye(3), -np.eye(3)))
+        x = [np.ones(6)] + list(points)
+        x += [points[i] * points[j] for i in range(3) for j in range(i, 3)]
+        assert _SPHERE_MEAN.tolist() == np.mean(x, axis=1).tolist()
+        assert _SPHERE_MEAN.tolist() == [1.0, 0.0, 0.0, 0.0, 1 / 3, 0.0, 0.0, 1 / 3, 0.0, 1 / 3]
+        with pytest.raises(ValueError):
+            _SPHERE_MEAN[4] = 0.0
 
     def test_cached_rule_is_read_only(self):
         for a in _gauss_legendre(0) + _gauss_legendre(3):
