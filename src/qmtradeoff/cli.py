@@ -197,89 +197,47 @@ def cmd_verify(args) -> int:
     # check: each is still a 4-sigma test at its own lam, but checks at
     # different lam are correlated, so one unlucky batch fails a band of lam.
     r = oracle.sample_bloch_vectors(rng, args.samples)
-    checks = []
-    lams = grid.tolist()
-    lams12 = [_round12(lam) for lam in lams]
+    lams12, checks, failures, run = [], [], [], 0
 
-    for lam, lam12 in zip(lams, lams12):
+    for lam in grid.tolist():
+        lams12.append(lam12 := _round12(lam))
         op = MeasurementOperator(((1.0, 0.0), (0.0, lam)))
-        first = len(checks)
+        ran, passed, notes = 0, 0, ""
         for quantity, (closed_form, quadrature, monte_carlo) in QUANTITIES.items():
+            head = {"lambda": lam12, "quantity": quantity}
             try:  # the oracles' own guard, asked first so that a skipped row runs neither
                 if quantity == "reversibility":
                     _check_reversible(op.lam)
             except IrreversibleError:
                 # Nothing to reverse: the operator annihilates a state.
-                checks.append(
-                    {
-                        "lambda": lam12,
-                        "quantity": quantity,
-                        "method": "skipped",
-                        "note": "irreversible",
-                        "passed": True,
-                    }
-                )
+                checks.append(dict(head, method="skipped", note="irreversible", passed=True))
+                notes += f"  ({quantity} skipped: irreversible)"
                 continue
             reference = closed_form(op)
             for est in (quadrature(op), monte_carlo(op, r)):
-                if est.method == "quadrature":
-                    bound = _VERIFY_TOLERANCE
-                else:
-                    bound = max(4.0 * est.std_error, 1e-12)
+                bound = (_VERIFY_TOLERANCE if est.method == "quadrature"
+                         else max(4.0 * est.std_error, 1e-12))
                 err = abs(est.value - reference)
                 ok = err <= bound
-                checks.append(
-                    {
-                        "lambda": lam12,
-                        "quantity": quantity,
-                        "method": est.method,
-                        "value": est.value,
-                        "reference": reference,
-                        "error": err,
-                        "bound": bound,
-                        "passed": ok,
-                    }
-                )
+                checks.append(dict(head, method=est.method, value=est.value,
+                                   reference=reference, error=err, bound=bound, passed=ok))
                 if est.std_error_jackknife is not None:
                     checks[-1]["std_error_jackknife"] = est.std_error_jackknife
-        rows = checks[first:]
-        run = [c for c in rows if c["method"] != "skipped"]
-        notes = "".join(f"  ({c['quantity']} skipped: {c['note']})" for c in rows if "note" in c)
-        print(
-            f"lambda={lam:.12g}  {sum(c['passed'] for c in run)}/{len(run)} checks passed{notes}",
-            file=sys.stderr,
-        )
+                ran += 1
+                passed += ok
+                if not ok:
+                    failures.append(f"verify: FAIL {quantity} ({est.method}) at lambda={lam12}: "
+                                    f"error {err:.3e} > bound {bound:.3e}")
+        run += ran
+        print(f"lambda={lam:.12g}  {passed}/{ran} checks passed{notes}", file=sys.stderr)
 
-    run = [c for c in checks if c["method"] != "skipped"]
-    failures = [c for c in run if not c["passed"]]
-    passed = not failures
-    report = {
-        "seed": args.seed,
-        "samples": args.samples,
-        "nodes": oracle.NODES,
-        "tolerance": _VERIFY_TOLERANCE,
-        "grid": lams12,
-        "checks": checks,
-        "failures": len(failures),
-        "passed": passed,
-        "batch": "per-run",
-    }
+    report = {"seed": args.seed, "samples": args.samples, "nodes": oracle.NODES,
+              "tolerance": _VERIFY_TOLERANCE, "grid": lams12, "checks": checks,
+              "failures": len(failures), "passed": not failures, "batch": "per-run"}
     _write_output(args.output, _json_pieces(report))
-
-    if passed:
-        print(f"verify: PASS ({len(run)}/{len(run)} checks)", file=sys.stderr)
-        return 0
-    for c in failures:
-        print(
-            f"verify: FAIL {c['quantity']} ({c['method']}) at lambda={c['lambda']}: "
-            f"error {c['error']:.3e} > bound {c['bound']:.3e}",
-            file=sys.stderr,
-        )
-    print(
-        f"verify: FAIL ({len(run) - len(failures)}/{len(run)} checks)",
-        file=sys.stderr,
-    )
-    return 1
+    summary = f"verify: {'FAIL' if failures else 'PASS'} ({run - len(failures)}/{run} checks)"
+    print(*failures, summary, sep="\n", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_simulate_reversal(args) -> int:

@@ -224,7 +224,9 @@ def svd2(m) -> Svd2Result:
 
     u2 = (-u1[1].conjugate(), u1[0].conjugate())
     z = u2[0].conjugate() * mv2[0] + u2[1].conjugate() * mv2[1]
-    if abs(z) > 0.0:
+    if abs(z) > 0.0:  # scaled first: a subnormal z has too few bits for z / |z|
+        e = math.frexp(abs(z))[1]
+        z = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
         z /= abs(z)
         u2 = (u2[0] * z, u2[1] * z)
 

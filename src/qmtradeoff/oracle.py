@@ -120,19 +120,19 @@ def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
     block) of x = ``rows(r[:, lo:hi])``, and n, over the chunks lo to hi of
     ``_jackknife_blocks``. Per chunk, one ``reduceat`` for the block sums and
     one ``dot`` for the cross products about the first chunk's mean, moved to
-    the batch mean at the end (Chan, Golub & LeVeque). A chunk of r whose sum
-    of squares is not finite (a NaN or infinite entry, or one whose square
-    overflows) raises DomainError before ``rows`` sees it."""
+    the batch mean at the end (Chan, Golub & LeVeque). A row of r whose sum of
+    squares is not finite (a NaN or infinite entry, or one whose square
+    overflows) raises DomainError first, from one dot per row of all of r, so
+    that ``rows`` never sees it and no copy of r is made."""
     n = r.shape[1]
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
+    if not all(math.isfinite(row.dot(row)) for row in r):
+        raise DomainError("Bloch vectors must be finite")
     chunks, kept = _jackknife_blocks(n, _CHUNK)
     dev = m2 = 0.0
     for lo, hi, starts, cols in chunks:
-        chunk = r[:, lo:hi]
-        if not math.isfinite(np.vdot(chunk, chunk)):
-            raise DomainError("Bloch vectors must be finite")
-        x = rows(chunk)
+        x = rows(r[:, lo:hi])
         if lo == 0:
             total, sums = np.add.reduce(x, axis=1), np.empty((len(x), kept.size))
             mean = total / hi
@@ -217,11 +217,12 @@ def _jackknife_blocks(n: int, chunk: int) -> tuple:
     return chunks, _read_only(n - np.diff(starts, append=n))[0]
 
 
-def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple, information: bool) -> Estimate:
-    """Monte Carlo estimate of zbar / qbar, less log2 qbar for information,
-    with (qbar, zbar) = ``coef @ mean`` (the mean itself where coef is None)
+def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple) -> Estimate:
+    """Monte Carlo estimate of zbar / qbar with (qbar, zbar) = ``coef @ mean``
     from the sample moments ``(mean, cov, loo, n)`` of some x; qbar must be
-    positive. The delta-method standard error projects the gradient
+    positive. Where coef is None, x is information's own (q, q log2 q), the
+    mean is (qbar, zbar) itself and the estimate is less log2 qbar. The
+    delta-method standard error projects the gradient
     (-zbar / qbar^2 [- 1 / (qbar ln 2)], 1 / qbar) onto x, d = ``grad @ coef``,
     before the covariance: ``sqrt(d . cov . d / n)``. The jackknife one takes
     the same ratio of the leave-one-block-out means, the columns of ``loo``."""
@@ -232,7 +233,7 @@ def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple, information: boo
     if y <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
     grad, value, estimates = [-z / y**2, 1.0 / y], z / y, zs / ys
-    if information:
+    if coef is None:  # information's own rows, (q, q log2 q)
         grad[0] -= 1.0 / (y * math.log(2.0))
         value, estimates = value - np.log2(y), estimates - np.log2(ys)
     d = np.array(grad)
@@ -262,7 +263,7 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
         x[1] = _xlog2x(x[0])
         return x
 
-    return _ratio_estimate(None, _moments(r, rows), True)
+    return _ratio_estimate(None, _moments(r, rows))
 
 
 def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
@@ -271,7 +272,7 @@ def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
     ``|<psi| u D |psi>|^2`` and of q, each ``coef @ mean`` of x as in
     ``quadrature_fidelity``. Uses the canonical left factor, matching the
     single-outcome relabeling convention."""
-    return _ratio_estimate(_fidelity_coef(op), batch.moments, False)
+    return _ratio_estimate(_fidelity_coef(op), batch.moments)
 
 
 def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
@@ -286,7 +287,7 @@ def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     """
     _check_reversible(op.lam)
     coef = np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9])
-    return _ratio_estimate(coef, batch.moments, False)
+    return _ratio_estimate(coef, batch.moments)
 
 
 @functools.lru_cache

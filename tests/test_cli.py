@@ -38,6 +38,15 @@ eff_fidelity      = 1.35086577002
 eff_reversibility = 0.150096196669
 """
 
+VERIFY_FAIL_STDERR = """\
+lambda=0  3/4 checks passed  (reversibility skipped: irreversible)
+lambda=0.5  4/6 checks passed
+verify: FAIL information (quadrature) at lambda=0.0: error 1.000e-03 > bound 1.000e-08
+verify: FAIL information (quadrature) at lambda=0.5: error 1.000e-03 > bound 1.000e-08
+verify: FAIL information (monte-carlo) at lambda=0.5: error 1.146e-03 > bound 8.638e-04
+verify: FAIL (7/10 checks)
+"""
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -181,6 +190,14 @@ class TestAnalyze:
         assert float(vals["info"]) == 0.0
         assert float(vals["fidelity"]) == 1.0
         assert float(vals["reversibility"]) == 1.0
+
+    def test_subnormal_entry_is_a_valid_operator(self, capsys, tmp_path):
+        """A subnormal entry leaves the factors unitary, so the operator is
+        accepted, with lam as small as that entry."""
+        path = write_matrix(tmp_path / "m.json", [[5e-324 + 5e-324j, 0.0], [0.0, 0.5]])
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, err) == (0, "")
+        assert float(parsed_keyvals(out)["lambda"]) < 1e-322
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/m.json")
@@ -333,6 +350,18 @@ class TestVerify:
         assert report["passed"] is False
         assert report["failures"] >= 2  # at least the quadrature checks
         assert_stdlib_layout(out)
+
+    def test_failure_summary_golden(self, capsys, monkeypatch):
+        """The whole stderr of a failing run: a progress line per lam with
+        the skipped row's note, then every failed row in row order, then the
+        count of checks passed."""
+        true_fn, quadrature, monte_carlo = cli.QUANTITIES["information"]
+        monkeypatch.setitem(cli.QUANTITIES, "information",
+                            (lambda op: true_fn(op) + 1e-3, quadrature, monte_carlo))
+        code, _, err = run(capsys, "verify", "--lambda-min", "0", "--lambda-max", "0.5",
+                           "--points", "2", "--samples", "200000", "--seed", "1")
+        assert code == 1
+        assert err == VERIFY_FAIL_STDERR
 
     def test_degenerate_sample_is_usage_error(self, capsys, monkeypatch):
         """An estimator whose sample average of q is not positive makes

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmtradeoff import linalg
@@ -479,6 +479,7 @@ finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 @settings(max_examples=150, deadline=None)
 @given(entries=st.lists(finite, min_size=8, max_size=8))
+@example(entries=[5e-324, 0.0, 0.0, 0.5, 5e-324, 0.0, 0.0, 0.0])  # u2's phase from a subnormal
 def test_svd2_invariants_property(entries):
     m = np.array(entries[:4]).reshape(2, 2) + 1j * np.array(entries[4:]).reshape(2, 2)
     if np.abs(m).max() < 1e-6:
