@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, IncompleteSetError
 from .linalg import su2_params
-from .measurement import MeasurementOperator, MeasurementSet
+from .measurement import MeasurementOperator, MeasurementSet, _finite
 
 LN2 = math.log(2.0)
 
@@ -57,7 +57,7 @@ def _check_lam(lam: float) -> float:
         return lam
     if isinstance(lam, np.ndarray) and lam.ndim == 0 and lam.dtype.kind in "iuf":
         lam = lam.item()
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not _finite(lam):
         raise DomainError(f"lam must be a finite real number, got {lam!r}")
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must lie in [0, 1], got {lam}")
@@ -135,8 +135,8 @@ def fidelity_closed(lam: float, beta: float, gamma: float) -> float:
     The angles ``alpha`` and ``delta`` drop out of the average.
     """
     lam = _check_lam(lam)
-    if not (math.isfinite(beta) and math.isfinite(gamma)):
-        raise DomainError("angles must be finite")
+    if not (_finite(beta, gamma) and math.isfinite(2.0 * float(beta))):
+        raise DomainError("angles and 2 beta must be finite")
     cg = math.cos(gamma)
     bracket = 1.0 + (2.0 * lam / (1.0 + lam * lam)) * math.cos(2.0 * beta)
     return (1.0 + bracket * cg * cg) / 3.0

@@ -40,6 +40,15 @@ _PROBABILITY_CEILING = (1.0 + OPERATOR_NORM_TOL) ** 2 + 4 * math.ulp(1.0)
 _TWO_PI = 2.0 * math.pi
 
 
+def _finite(*values) -> bool:
+    """Whether every value is finite as a float: not NaN, not infinite, and
+    not an int too large to convert."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class PureState:
     """A qubit pure state by its polar and azimuthal angles.
@@ -53,7 +62,7 @@ class PureState:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+        if not _finite(self.theta, self.phi):
             raise DomainError("state angles must be finite")
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")

@@ -17,23 +17,23 @@ Conventions shared by both routes:
   ``linalg._gram``; only the fidelity reads the canonical q), and the
   fidelity amplitude <psi|u D|psi> is c . (1, r) with those of u diag(1, lam);
 * q and |c . (1, r)|^2 are linear in x = (1, r, r_i r_j for i <= j), so
-  both routes take the fidelity and the reversibility from ``coef @ mean``
-  of x: the sphere's exact mean ``_SPHERE_MEAN``, or that of a ``Batch`` of
-  states. ``verify`` hands one batch to every estimator at every lam, so
+  the fidelity and the reversibility are each one pair of coefficient rows,
+  ``coef``, and zbar / qbar of ``coef @ mean`` of x; the routes differ only
+  in that mean: the sphere's exact ``_SPHERE_MEAN``, or that of a ``Batch``
+  of states. ``verify`` hands one batch to every estimator at every lam, so
   one unlucky batch fails a band of lam together (README, *Numerical
   notes*, gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
-  or node. The information quadrature runs along g, q = g0 + |g| u, as the
-  prior is rotation invariant. q vanishes about 2 lam^2 beyond u = -1, where
-  q log q is not analytic, so the rule is mapped onto subintervals graded
-  toward u = -1, as many as lam needs (one at lam = 1), down to lam = 0;
-* the graded rules are built once, on first use, and shared;
+  or node, each filling the same rows (q, q log2 q) in place, q log2 q from
+  q. The quadrature runs along g, q = g0 + |g| u, as the prior is rotation
+  invariant. q vanishes about 2 lam^2 beyond u = -1, where q log q is not
+  analytic, so the rule is mapped onto subintervals graded toward u = -1,
+  as many as lam needs down to lam = 0, each rule built once and shared;
 * one routine, ``_moments``, forms the sample mean, covariance and
-  leave-one-block-out means of x (see ``Estimate``) over a table of chunks
-  built once per n, one chunk up to ``_CHUNK`` states and a jackknife block
-  at a time above: for a ``Batch`` on its first use, and for each
-  information estimate from x = (q, q log2 q), which needs no ``coef``. It
-  rejects a state with a non-finite entry before any arithmetic on it.
+  leave-one-block-out means of x (see ``Estimate``), one chunk up to
+  ``_CHUNK`` states and a jackknife block at a time above: for a ``Batch``
+  on its first use, and for each information estimate from its rows, which
+  need no ``coef``. It rejects a non-finite state before any arithmetic.
 """
 
 from __future__ import annotations
@@ -184,12 +184,20 @@ def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
     ])
 
 
-def _xlog2x(q: np.ndarray) -> np.ndarray:
-    """q log2 q, taken as its limit 0 where q <= 0."""
-    t = np.maximum(q, 1e-300)
-    np.multiply(np.log2(t, out=t), q, out=t)
+def _reversibility_coef(op: MeasurementOperator) -> np.ndarray:
+    """Coefficients on x of q (``_q_coef``) and lam^2 x_0 (x_0 = 1), whose ratio
+    of means is the reversibility; IrreversibleError where lam = 0."""
+    _check_reversible(op.lam)
+    return np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9])
+
+
+def _information_rows(x: np.ndarray) -> np.ndarray:
+    """Information's rows x = (q, q log2 q): fills the second in place from
+    the q in the first, taking q log2 q as its limit 0 where q <= 0."""
+    q, t = x
+    np.multiply(np.log2(np.maximum(q, 1e-300, out=t), out=t), q, out=t)
     np.copyto(t, 0.0, where=~(q > 0.0))
-    return t
+    return x
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -256,12 +264,11 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
     """
     coef = _q_coef(op)
 
-    def rows(chunk):  # information's x: q and q log2 q, the means' own rows
+    def rows(chunk):  # information's x, (q, q log2 q): the means' own rows
         x = np.empty((2, chunk.shape[1]))
         np.dot(coef[1:4], chunk, out=x[0])
         x[0] += coef[0]
-        x[1] = _xlog2x(x[0])
-        return x
+        return _information_rows(x)
 
     return _ratio_estimate(None, _moments(r, rows))
 
@@ -277,17 +284,15 @@ def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
 
 def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean reversal success probability,
-    ``lam^2 / qbar``, over a :class:`Batch` of states: zbar / qbar with the
-    two rows q, as in ``quadrature_reversibility``, and lam^2 x_0 (x_0 = 1).
+    ``lam^2 / qbar``, over a :class:`Batch` of states: zbar / qbar of
+    ``_reversibility_coef``, as in ``quadrature_reversibility``.
 
     Raises
     ------
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to estimate.
     """
-    _check_reversible(op.lam)
-    coef = np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9])
-    return _ratio_estimate(coef, batch.moments)
+    return _ratio_estimate(_reversibility_coef(op), batch.moments)
 
 
 @functools.lru_cache
@@ -308,6 +313,12 @@ def _gauss_legendre(depth: int) -> tuple:
 _SPHERE_MEAN = _read_only(np.mean(_monomials(np.hstack((np.eye(3), -np.eye(3)))), axis=1))[0]
 
 
+def _sphere_ratio(coef: np.ndarray) -> Estimate:
+    """zbar / qbar with (qbar, zbar) = ``coef @ _SPHERE_MEAN``, exact to degree 3."""
+    qbar, zbar = coef.dot(_SPHERE_MEAN).tolist()
+    return Estimate(zbar / qbar, 0.0, 6, "quadrature")
+
+
 def quadrature_information(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
@@ -323,33 +334,28 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
     depth = math.ceil(math.log(1.0 / max(op.lam * op.lam, 2.0**-53), 8))
     u, w = _gauss_legendre(depth)
     g = _q_coef(op).tolist()
-    q = g[0] + math.hypot(g[1], g[2], g[3]) * u
-    qbar = 0.5 * float(np.add.reduce(w * q))
-    qlog = 0.5 * float(np.add.reduce(w * _xlog2x(q)))
+    x = np.empty((2, u.size))
+    x[0] = g[0] + math.hypot(g[1], g[2], g[3]) * u
+    qbar, qlog = (0.5 * np.add.reduce(_information_rows(x) * w, axis=1)).tolist()
     value = qlog / qbar - math.log2(qbar)
-    return Estimate(value=value, std_error=0.0, samples=q.size, method="quadrature")
+    return Estimate(value=value, std_error=0.0, samples=u.size, method="quadrature")
 
 
 def quadrature_fidelity(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean-fidelity average, ``zbar / qbar``
     with each ``coef @ mean`` of x as in ``estimate_fidelity``, over the six
     points of ``_SPHERE_MEAN``: exact, since x has degree 2 in r."""
-    qbar, zbar = _fidelity_coef(op).dot(_SPHERE_MEAN).tolist()
-    return Estimate(zbar / qbar, 0.0, 6, "quadrature")
+    return _sphere_ratio(_fidelity_coef(op))
 
 
 def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean reversal success probability,
-    ``lam^2 / qbar`` with qbar ``coef @ mean`` of x over the six points of
-    ``_SPHERE_MEAN``, as in ``estimate_reversibility``: exact, since q is
-    affine in r.
+    ``lam^2 / qbar``, zbar / qbar of ``_reversibility_coef`` over the six
+    points of ``_SPHERE_MEAN``: exact, since both rows are affine in r.
 
     Raises
     ------
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to evaluate.
     """
-    lam = op.lam
-    _check_reversible(lam)
-    qbar = float(_q_coef(op).dot(_SPHERE_MEAN))
-    return Estimate(value=lam * lam / qbar, std_error=0.0, samples=6, method="quadrature")
+    return _sphere_ratio(_reversibility_coef(op))

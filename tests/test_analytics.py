@@ -26,7 +26,8 @@ from qmtradeoff.analytics import (
     reversibility,
     tradeoff_record,
 )
-from qmtradeoff.errors import DomainError
+from qmtradeoff import measurement
+from qmtradeoff.errors import DomainError, IncompleteSetError
 from qmtradeoff.linalg import Su2Params, su2_matrix, su2_params
 from qmtradeoff.measurement import (
     MeasurementOperator,
@@ -120,7 +121,8 @@ class TestLambdaTypes:
     @pytest.mark.parametrize(
         "lam",
         [True, False, np.bool_(True), np.array(True), np.array([0.5]), "0.5", None, 0.5j,
-         np.float32("nan"), float("inf")],
+         np.float32("nan"), float("inf"), pytest.param(10**400, id="10**400"),
+         pytest.param(-10**400, id="-10**400")],
         ids=repr,
     )
     def test_non_reals_rejected(self, closed_form, lam):
@@ -168,6 +170,23 @@ class TestFidelity:
             assert fidelity_closed(lam, 0.5, math.pi / 2) == pytest.approx(
                 1.0 / 3.0, abs=1e-14
             )
+
+    @pytest.mark.parametrize(
+        "beta, gamma",
+        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.3), (1e308, 0.0), (-1e308, 0.0),
+         pytest.param(np.float64(1e308), 0.0, id="float64(1e308)-0.0"),
+         pytest.param(10**400, 0.0, id="10**400-0.0"),
+         pytest.param(0.0, -10**400, id="0.0--10**400")],
+    )
+    def test_non_finite_angles_rejected(self, beta, gamma):
+        """Each angle, and 2 beta, which the formula takes the cosine of,
+        must be finite as a float."""
+        with pytest.raises(DomainError, match="^angles and 2 beta must be finite$"):
+            fidelity_closed(0.5, beta, gamma)
+
+    def test_largest_angles_accepted(self):
+        for beta, gamma in ((8.9e307, 0.0), (0.0, 1.7e308), (10**307, -(10**307))):
+            assert 1.0 / 3.0 <= fidelity_closed(0.5, beta, gamma) <= optimal_fidelity(0.5)
 
     def test_operator_form_matches_angles(self):
         # alpha = beta = 0 and gamma < pi/4 keep the construction unitary in
@@ -335,6 +354,22 @@ class TestAveragedQuantities:
         assert 2.0 / 3.0 < avg.fidelity < 1.0
         assert 0.0 < avg.reversibility < 1.0
         assert sum(avg.outcome_probabilities) == pytest.approx(1.0, abs=1e-12)
+
+    def test_probability_sum_cross_check_fires(self, monkeypatch):
+        """With construction's completeness check loosened, the outcome
+        probabilities' own sum still rejects an incomplete set."""
+        monkeypatch.setattr(measurement, "COMPLETENESS_TOL", 1.0)
+        mset = MeasurementSet(operators=(np.diag([1.0, 0.5]),))
+        with pytest.raises(IncompleteSetError, match="sum to 0.625"):
+            averaged_quantities(mset)
+
+    def test_reversibility_cross_check_fires(self, monkeypatch):
+        """A reversibility closed form off by 1% disagrees with the direct
+        form sum kappa^2 lam^2."""
+        exact = analytics.reversibility
+        monkeypatch.setattr(analytics, "reversibility", lambda lam: 1.01 * exact(lam))
+        with pytest.raises(ArithmeticError, match="^reversibility cross-check failed"):
+            averaged_quantities(two_outcome_family(0.3, 0.9))
 
     @staticmethod
     def random_sets(n, seed):

@@ -45,6 +45,16 @@ class TestPureState:
         s = PureState(theta=1.0, phi=2.0 * math.pi + 0.25)
         assert s.phi == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0),
+         pytest.param(10**400, 0.0, id="10**400-0.0"),
+         pytest.param(1.0, -10**400, id="1.0--10**400")],
+    )
+    def test_non_finite_angles_rejected(self, theta, phi):
+        with pytest.raises(DomainError, match="^state angles must be finite$"):
+            PureState(theta=theta, phi=phi)
+
     def test_theta_out_of_range(self):
         with pytest.raises(DomainError):
             PureState(theta=3.5, phi=0.0)
@@ -68,6 +78,10 @@ class TestMeasurementOperator:
             MeasurementOperator(scale * np.eye(2))
         with pytest.raises(InvalidStrengthError):
             MeasurementOperator(scale * np.array([[0.8, 0.3], [0.1, 0.5]]))
+
+    def test_repr(self):
+        op = MeasurementOperator(0.8 * np.diag([1.0, 0.5]))
+        assert repr(op) == "MeasurementOperator(kappa=0.8, lam=0.5)"
 
     def test_matrix_copy_is_safe(self):
         m = np.diag([1.0, 0.5]).astype(complex)
@@ -161,6 +175,24 @@ class TestMeasurementSet:
     def test_incomplete_set_rejected(self):
         with pytest.raises(IncompleteSetError):
             MeasurementSet(operators=(np.diag([1.0, 0.0]),))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(IncompleteSetError, match="^a measurement set needs at least one operator$"):
+            MeasurementSet(operators=())
+
+    def test_label_count_must_match(self):
+        with pytest.raises(FormatError, match="^1 labels for 2 operators$"):
+            MeasurementSet(operators=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=("a",))
+
+    @pytest.mark.parametrize("payload", [{}, {"labels": ["0"]}, [], None, "operators"])
+    def test_payload_needs_operators(self, payload):
+        with pytest.raises(FormatError, match='^measurement set payload must contain "operators"$'):
+            MeasurementSet.from_json(payload)
+
+    @pytest.mark.parametrize("operators", [[], (), "ab", {"a": 1}, None, 0])
+    def test_operators_must_be_a_non_empty_list(self, operators):
+        with pytest.raises(FormatError, match='^"operators" must be a non-empty list$'):
+            MeasurementSet.from_json({"operators": operators})
 
     def test_json_round_trip(self):
         mset = two_outcome_family(0.5, 0.9)

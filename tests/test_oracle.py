@@ -676,18 +676,22 @@ def allocating_estimates(op, r):
 
 
 class TestInPlaceArithmetic:
-    """The information integrand and its moments are written into their own
-    buffers instead of allocating temporaries, and up to ``_CHUNK`` states
-    every bit of its Estimate stays that of the plain expressions. Fidelity
-    and reversibility come from the batch's moments instead: their values
-    agree with the per-sample ones to 1e-15 relative, and their standard
-    errors to 1e-9, the nearer to the exact one (TestBatchMoments)."""
+    """The information integrand's rows (q, q log2 q) are written into one
+    buffer, q log2 q in place from the q beside it, by the one builder that
+    both information oracles call; up to ``_CHUNK`` states every bit of its
+    Estimate stays that of the plain expressions. Fidelity and reversibility
+    come from the batch's moments instead: their values agree with the
+    per-sample ones to 1e-15 relative, and their standard errors to 1e-9,
+    the nearer to the exact one (TestBatchMoments)."""
 
     def test_xlog2x_matches_where_form(self):
         q = np.concatenate((np.random.default_rng(3).uniform(-0.5, 1.5, 1000),
                             [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, np.inf, -np.inf, np.nan]))
         expected = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
-        assert oracle._xlog2x(q).tobytes() == expected.tobytes()
+        x = np.empty((2, q.size))
+        x[0] = q
+        assert oracle._information_rows(x) is x
+        assert x[0].tobytes() == q.tobytes() and x[1].tobytes() == expected.tobytes()
 
     @staticmethod
     def cases(n):
