@@ -58,9 +58,9 @@ def _check_lam(lam: float) -> float:
     if isinstance(lam, np.ndarray) and lam.ndim == 0 and lam.dtype.kind in "iuf":
         lam = lam.item()
     if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not _finite(lam):
-        raise DomainError(f"lam must be a finite real number, got {lam!r}")
+        raise DomainError(f"lam must be a finite real number, got {type(lam).__name__}")
     if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lam must lie in [0, 1], got {lam}")
+        raise DomainError(f"lam must lie in [0, 1], got {float(lam)}")
     return float(lam)
 
 

@@ -31,9 +31,6 @@ COMPLETENESS_TOL = 1e-10
 #: Allowed overshoot of the operator norm above 1.
 OPERATOR_NORM_TOL = 1e-12
 
-#: Probability round-off this far below 0 is clamped; beyond it, raised.
-PROBABILITY_CLAMP = 1e-12
-
 # Above 1, round-off up to the square of the largest accepted norm, plus a few ulps.
 _PROBABILITY_CEILING = (1.0 + OPERATOR_NORM_TOL) ** 2 + 4 * math.ulp(1.0)
 
@@ -41,12 +38,21 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _finite(*values) -> bool:
-    """Whether every value is finite as a float: not NaN, not infinite, and
-    not an int too large to convert."""
+    """Whether every value is finite as a float: not NaN, not infinite, not
+    an int too large to convert, and nothing that ``math.isfinite`` refuses,
+    such as a string, None, a complex or an array of more than one entry."""
     try:
         return all(map(math.isfinite, values))
-    except OverflowError:
+    except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _check_count(n, least: int, what: str) -> None:
+    """DomainError unless ``n`` is an integer, not a bool, from ``least`` to
+    2**53, the counts that a float holds exactly. The message names n's
+    type, not its value, which may have too many digits to print."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not least <= n <= 2**53:
+        raise DomainError(f"{what} must be an integer in [{least}, 2**53], got {type(n).__name__}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class PureState:
         if not _finite(self.theta, self.phi):
             raise DomainError("state angles must be finite")
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
+            raise DomainError(f"theta must lie in [0, pi], got {float(self.theta)}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         object.__setattr__(self, "phi", self.phi % _TWO_PI)
 
@@ -132,13 +138,10 @@ class MeasurementOperator:
 
 
 def _clamp_probability(p: float) -> float:
-    if -PROBABILITY_CLAMP <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= _PROBABILITY_CEILING:
-        return 1.0
-    if p < 0.0 or p > 1.0:
+    # p is a sum of squares, never below 0; above 1 by round-off it is clamped.
+    if p > _PROBABILITY_CEILING:
         raise ArithmeticError(f"probability {p!r} outside [0, 1] beyond round-off")
-    return p
+    return min(p, 1.0)
 
 
 def outcome_probability(op: MeasurementOperator, state: PureState) -> float:
@@ -181,6 +184,8 @@ class MeasurementSet:
         if not ops:
             raise IncompleteSetError("a measurement set needs at least one operator")
         labels = self.labels if self.labels else tuple(str(i) for i in range(len(ops)))
+        if not all(isinstance(x, str) for x in labels):
+            raise FormatError('"labels" must be a list of strings')
         if len(labels) != len(ops):
             raise FormatError(
                 f"{len(labels)} labels for {len(ops)} operators"
@@ -210,7 +215,7 @@ class MeasurementSet:
             raise FormatError('"operators" must be a non-empty list')
         ops = tuple(MeasurementOperator(matrix_from_json(m)) for m in mats)
         labels = payload.get("labels", [])
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        if not isinstance(labels, list):
             raise FormatError('"labels" must be a list of strings')
         return cls(operators=ops, labels=tuple(labels))
 
@@ -225,14 +230,16 @@ def two_outcome_family(lam0: float, kappa0: float) -> MeasurementSet:
     Raises
     ------
     InvalidStrengthError
-        If ``lam0`` or ``kappa0`` leave their ranges (lam0 in [0, 1],
-        kappa0 in (0, 1]), or at the degenerate corner lam0 = kappa0 = 1
-        where the second operator would vanish.
+        If ``lam0`` or ``kappa0`` is not a finite real or leaves its range
+        (lam0 in [0, 1], kappa0 in (0, 1]), or at the degenerate corner
+        lam0 = kappa0 = 1 where the second operator would vanish.
     """
+    if not _finite(lam0, kappa0):
+        raise InvalidStrengthError("lam0 and kappa0 must be finite real numbers")
     if not 0.0 <= lam0 <= 1.0:
-        raise InvalidStrengthError(f"lam0 must lie in [0, 1], got {lam0}")
+        raise InvalidStrengthError(f"lam0 must lie in [0, 1], got {float(lam0)}")
     if not 0.0 < kappa0 <= 1.0:
-        raise InvalidStrengthError(f"kappa0 must lie in (0, 1], got {kappa0}")
+        raise InvalidStrengthError(f"kappa0 must lie in (0, 1], got {float(kappa0)}")
     comp0 = 1.0 - kappa0 * kappa0
     comp1 = 1.0 - (kappa0 * lam0) ** 2
     if comp0 < 1e-28 and comp1 < 1e-28:

@@ -29,11 +29,14 @@ Conventions shared by both routes:
   invariant. q vanishes about 2 lam^2 beyond u = -1, where q log q is not
   analytic, so the rule is mapped onto subintervals graded toward u = -1,
   as many as lam needs down to lam = 0, each rule built once and shared;
+* every Monte Carlo estimator reads one input, a ``Batch``, which checks
+  its states once, on first use: shape (3, n) with n >= 2 and finite
+  entries, before any arithmetic;
 * one routine, ``_moments``, forms the sample mean, covariance and
   leave-one-block-out means of x (see ``Estimate``), one chunk up to
   ``_CHUNK`` states and a jackknife block at a time above: for a ``Batch``
   on its first use, and for each information estimate from its rows, which
-  need no ``coef``. It rejects a non-finite state before any arithmetic.
+  need no ``coef``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateSampleError, DomainError
 from .linalg import _gram
-from .measurement import MeasurementOperator
+from .measurement import MeasurementOperator, _check_count
 from .reversal import _check_reversible
 
 _JACKKNIFE_BLOCKS = 100
@@ -60,10 +63,8 @@ _CHUNK = 2**13
 NODES = 64
 
 #: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ,
-#: and its weight in a symmetric form: twice over for i < j.
-_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
-_PAIRS = tuple(np.array(_UPPER).T)
-_WEIGHTED = [(i, j, 2.0 - (i == j)) for i, j in _UPPER]
+#: as lists of Python ints: ``_fidelity_coef`` loops over them in scalar code.
+_PAIRS = tuple(p.tolist() for p in np.triu_indices(4))
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,23 @@ class Estimate:
 
 
 class Batch(np.ndarray):
-    """Read-only ``(3, n)`` Bloch vectors r. Its ``moments``, all that the
-    fidelity and reversibility read, are ``_moments`` of x = ``_monomials(r)``,
-    built on first use; a slice of a batch is a batch of its own columns."""
+    """``(3, n)`` Bloch vectors r, n >= 2, the one input of every Monte Carlo
+    estimator; ``r.view(Batch)`` makes one of an array without a copy. Its
+    states are checked once, on first use, and must not change after it.
+    Its ``moments``, all that the fidelity and reversibility read, are
+    ``_moments`` of x = ``_monomials(r)``, built on first use; a slice of a
+    batch is a batch of its own columns."""
+
+    @functools.cached_property
+    def _size(self) -> int:
+        """n, once the shape is (3, n) with n >= 2 and every row's sum of
+        squares is finite (no NaN or infinite entry, none whose square
+        overflows), by one dot per row and no copy; else DomainError."""
+        if self.ndim != 2 or self.shape[0] != 3 or self.shape[1] < 2:
+            raise DomainError(f"need Bloch vectors of shape (3, n >= 2), got {self.shape}")
+        if not all(math.isfinite(row.dot(row)) for row in self):
+            raise DomainError("Bloch vectors must be finite")
+        return self.shape[1]
 
     @functools.cached_property
     def moments(self) -> tuple:
@@ -96,9 +111,9 @@ class Batch(np.ndarray):
 def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
     """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)``
     :class:`Batch` of Bloch vectors, with u = cos θ uniform on [-1, 1] and
-    phi on [0, 2 pi)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise DomainError(f"need at least 2 samples, got {n!r}")
+    phi on [0, 2 pi). n is an integer from 2 to 2**53, the counts that a
+    float holds exactly; DomainError otherwise."""
+    _check_count(n, 2, "samples")
     r = np.empty((3, n))
     u = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
@@ -115,20 +130,14 @@ def _monomials(r: np.ndarray) -> np.ndarray:
     return x[_PAIRS[0]] * x[_PAIRS[1]]
 
 
-def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
+def _moments(r: Batch, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """Mean, covariance and leave-one-block-out means (a column per jackknife
     block) of x = ``rows(r[:, lo:hi])``, and n, over the chunks lo to hi of
     ``_jackknife_blocks``. Per chunk, one ``reduceat`` for the block sums and
     one ``dot`` for the cross products about the first chunk's mean, moved to
-    the batch mean at the end (Chan, Golub & LeVeque). A row of r whose sum of
-    squares is not finite (a NaN or infinite entry, or one whose square
-    overflows) raises DomainError first, from one dot per row of all of r, so
-    that ``rows`` never sees it and no copy of r is made."""
-    n = r.shape[1]
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    if not all(math.isfinite(row.dot(row)) for row in r):
-        raise DomainError("Bloch vectors must be finite")
+    the batch mean at the end (Chan, Golub & LeVeque). n is the batch's
+    checked size, so ``rows`` never sees a malformed or non-finite state."""
+    n = r._size
     chunks, kept = _jackknife_blocks(n, _CHUNK)
     dev = m2 = 0.0
     for lo, hi, starts, cols in chunks:
@@ -180,7 +189,7 @@ def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
     re, im, lam = [c.real for c in (b0, *b)], [c.imag for c in (b0, *b)], op.lam
     return np.array([
         [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
-        [(re[i] * re[j] + im[i] * im[j]) * w for i, j, w in _WEIGHTED],
+        [(re[i] * re[j] + im[i] * im[j]) * (2.0 - (i == j)) for i, j in zip(*_PAIRS)],
     ])
 
 
@@ -244,9 +253,7 @@ def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple) -> Estimate:
     if coef is None:  # information's own rows, (q, q log2 q)
         grad[0] -= 1.0 / (y * math.log(2.0))
         value, estimates = value - np.log2(y), estimates - np.log2(ys)
-    d = np.array(grad)
-    if coef is not None:
-        d = d.dot(coef)
+    d = np.array(grad) if coef is None else np.dot(grad, coef)
     blocks = estimates.size
     estimates -= np.add.reduce(estimates) / blocks
     jackknife = math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
@@ -254,9 +261,9 @@ def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple) -> Estimate:
     return Estimate(float(value), std_error, n, "monte-carlo", jackknife)
 
 
-def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
-    """Monte Carlo estimate of the mean information gain, in bits, over the
-    Bloch vectors in the columns of ``r``.
+def estimate_information(op: MeasurementOperator, batch: Batch) -> Estimate:
+    """Monte Carlo estimate of the mean information gain, in bits, over a
+    :class:`Batch` of states.
 
     Averages q and q*log2(q) over the states and combines them through
     the defining functional ``[avg(q log2 q) - qbar log2 qbar] / qbar``,
@@ -270,7 +277,7 @@ def estimate_information(op: MeasurementOperator, r: np.ndarray) -> Estimate:
         x[0] += coef[0]
         return _information_rows(x)
 
-    return _ratio_estimate(None, _moments(r, rows))
+    return _ratio_estimate(None, _moments(batch, rows))
 
 
 def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IrreversibleError, ZeroProbabilityError
+from .errors import IrreversibleError, ZeroProbabilityError
 from .linalg import _apply, _mul, _norm
-from .measurement import MeasurementOperator, PureState, outcome_probability
+from .measurement import MeasurementOperator, PureState, _check_count, outcome_probability
 
 #: Strength ratios below this are treated as exactly singular (irreversible).
 REVERSIBLE_LAM_TOL = 1e-14
@@ -120,13 +120,13 @@ def simulate_reversal(
     Raises
     ------
     DomainError
-        If ``trials`` is not a positive integer.
+        If ``trials`` is not an integer from 1 to 2**53 (beyond, a count is
+        not held exactly by the float that the rate divides by).
     ArithmeticError
         If a successful reversal fails to restore the state — that would be
         an internal error, not a statistical fluctuation.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    _check_count(trials, 1, "trials")
     predicted = reversal_success_probability(op, state)
     # The post-selected chain is deterministic: every trial has the same
     # success rate, and every success the same recovered state.

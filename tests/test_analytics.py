@@ -6,6 +6,7 @@ independently of the closed forms under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ class TestInformationGain:
             assert abs(information_gain(1.0 - eps)) < 10.0 * eps * abs(math.log2(eps))
 
     def test_domain(self):
-        for bad in (-0.1, 1.1, float("nan")):
+        # A finite Fraction whose digits are too many to print: the message shows it as a float.
+        for bad in (-0.1, 1.1, float("nan"), Fraction(10**5000 + 1, 10**5000)):
             with pytest.raises(DomainError):
                 information_gain(bad)
 
@@ -122,7 +124,8 @@ class TestLambdaTypes:
         "lam",
         [True, False, np.bool_(True), np.array(True), np.array([0.5]), "0.5", None, 0.5j,
          np.float32("nan"), float("inf"), pytest.param(10**400, id="10**400"),
-         pytest.param(-10**400, id="-10**400")],
+         pytest.param(-10**400, id="-10**400"), pytest.param(10**5000, id="10**5000"),
+         pytest.param(-10**5000, id="-10**5000")],
         ids=repr,
     )
     def test_non_reals_rejected(self, closed_form, lam):
@@ -176,7 +179,8 @@ class TestFidelity:
         [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.3), (1e308, 0.0), (-1e308, 0.0),
          pytest.param(np.float64(1e308), 0.0, id="float64(1e308)-0.0"),
          pytest.param(10**400, 0.0, id="10**400-0.0"),
-         pytest.param(0.0, -10**400, id="0.0--10**400")],
+         pytest.param(0.0, -10**400, id="0.0--10**400"),
+         ("x", 0.0), (0.0, None), (1j, 0.0), (0.0, np.array([0.5, 0.5]))],
     )
     def test_non_finite_angles_rejected(self, beta, gamma):
         """Each angle, and 2 beta, which the formula takes the cosine of,

@@ -1,6 +1,7 @@
 """States, operators, probabilities, completeness."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from qmtradeoff.errors import DomainError, FormatError, IncompleteSetError, InvalidStrengthError
 from qmtradeoff.measurement import (
     OPERATOR_NORM_TOL,
-    PROBABILITY_CLAMP,
     MeasurementOperator,
     MeasurementSet,
     PureState,
@@ -49,7 +49,8 @@ class TestPureState:
         "theta, phi",
         [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0),
          pytest.param(10**400, 0.0, id="10**400-0.0"),
-         pytest.param(1.0, -10**400, id="1.0--10**400")],
+         pytest.param(1.0, -10**400, id="1.0--10**400"),
+         ("x", 0.0), (np.array([1.0]), 0.0), (1.0, None), (1.0, 1j)],
     )
     def test_non_finite_angles_rejected(self, theta, phi):
         with pytest.raises(DomainError, match="^state angles must be finite$"):
@@ -60,6 +61,8 @@ class TestPureState:
             PureState(theta=3.5, phi=0.0)
         with pytest.raises(DomainError):
             PureState(theta=-0.1, phi=0.0)
+        with pytest.raises(DomainError, match=r"got -1\.0$"):
+            PureState(theta=Fraction(-10**5000 - 1, 10**5000))
 
 
 class TestMeasurementOperator:
@@ -165,6 +168,11 @@ class TestCompleteness:
             two_outcome_family(1.2, 0.5)
         with pytest.raises(InvalidStrengthError):
             two_outcome_family(0.5, 0.0)
+        for lam0, kappa0 in ((10**5000, 0.5), (0.5, -10**5000), ("x", 0.5),
+                             (np.array([0.5, 0.3]), 0.5), (0.5, math.nan),
+                             (Fraction(10**5000 + 1, 10**5000), 0.5)):
+            with pytest.raises(InvalidStrengthError):
+                two_outcome_family(lam0, kappa0)
 
 
 class TestMeasurementSet:
@@ -209,6 +217,13 @@ class TestMeasurementSet:
         payload["labels"] = labels
         with pytest.raises(FormatError, match='^"labels" must be a list of strings$'):
             MeasurementSet.from_json(payload)
+
+    @pytest.mark.parametrize("labels", [(1,), (None,)])
+    def test_constructor_labels_must_be_strings(self, labels):
+        """The constructor keeps the rule of from_json, so to_json never
+        writes a payload that from_json rejects."""
+        with pytest.raises(FormatError, match='^"labels" must be a list of strings$'):
+            MeasurementSet(operators=(np.eye(2),), labels=labels)
 
     def test_labels_are_optional(self):
         payload = two_outcome_family(0.5, 0.9).to_json()
@@ -304,16 +319,14 @@ class TestScalarBodies:
 
     def test_probability_clamp_covers_the_accepted_norm(self):
         """MeasurementOperator accepts a norm up to 1 + OPERATOR_NORM_TOL, so
-        p may exceed 1 by up to about twice that; round-off beyond it, or
-        below 0 by more than PROBABILITY_CLAMP, still raises."""
+        p may exceed 1 by up to about twice that; round-off beyond it still
+        raises. p is a sum of squares, so it is never below 0."""
         op = MeasurementOperator(np.diag([1.0 + 0.9e-12, 0.5]))
         assert outcome_probability(op, PureState(theta=0.0)) == 1.0
         edge = (1.0 + OPERATOR_NORM_TOL) ** 2
         assert _clamp_probability(edge) == 1.0
-        assert _clamp_probability(-PROBABILITY_CLAMP) == 0.0
-        for p in (edge + 1e-14, -2.0 * PROBABILITY_CLAMP):
-            with pytest.raises(ArithmeticError, match="beyond round-off"):
-                _clamp_probability(p)
+        with pytest.raises(ArithmeticError, match="beyond round-off"):
+            _clamp_probability(edge + 1e-14)
 
     def test_orthogonal_state_has_probability_zero(self):
         rng = np.random.default_rng(3200)

@@ -6,6 +6,7 @@ target.
 """
 
 import ast
+import functools
 import json
 import math
 import os
@@ -112,6 +113,8 @@ class TestSampler:
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
             sample_bloch_vectors(np.random.default_rng(1), 0)
+        with pytest.raises(DomainError, match="got int$"):
+            sample_bloch_vectors(np.random.default_rng(1), -10**5000)
         for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
             with pytest.raises(DomainError):
                 estimator(diag_op(0.5), bloch(1, 2)[:, :1])
@@ -588,7 +591,7 @@ class TestChunkTable:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_moments_read_each_chunk_once(self, n):
-        r = np.random.default_rng(n).uniform(-1.0, 1.0, (3, n))
+        r = np.random.default_rng(n).uniform(-1.0, 1.0, (3, n)).view(oracle.Batch)
         spans = []
 
         def rows(chunk):
@@ -626,6 +629,44 @@ class TestNonFiniteStates:
                                           estimate_reversibility):
                             with pytest.raises(DomainError, match="finite"):
                                 estimator(op, r.view(oracle.Batch))
+
+
+class TestBatchInput:
+    """A Batch is the one input of every Monte Carlo estimator. It checks its
+    shape and its states once, on first use, and no estimator reads a batch
+    that fails the check."""
+
+    ESTIMATORS = (estimate_information, estimate_fidelity, estimate_reversibility)
+
+    @pytest.mark.parametrize("shape", [(4, 57), (2, 57), (3, 57, 1), (3, 1), (3,)])
+    def test_malformed_batches_rejected(self, shape):
+        """Among them a (4, n) batch: no estimator may read its first three
+        rows and ignore the fourth."""
+        r = np.random.default_rng(1).uniform(-0.5, 0.5, shape)
+        for estimator in self.ESTIMATORS:
+            with pytest.raises(DomainError, match="shape"):
+                estimator(diag_op(0.5), r.view(oracle.Batch))
+
+    def test_states_checked_once_per_batch(self, monkeypatch):
+        """Three estimators at 11 lam on one batch, as verify runs them: one
+        check in all. A slice is a batch of its own, checked on its own."""
+        checks = []
+        check = oracle.Batch._size.func
+
+        def counting(batch):
+            checks.append(batch.shape)
+            return check(batch)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(oracle.Batch, "_size")
+        monkeypatch.setattr(oracle.Batch, "_size", counted)
+        batch = bloch(11, 2000)
+        for lam in np.linspace(0.05, 1.0, 11):
+            for estimator in self.ESTIMATORS:
+                estimator(diag_op(lam), batch)
+        assert checks == [(3, 2000)]
+        estimate_information(diag_op(0.5), batch[:, :1000])
+        assert checks == [(3, 2000), (3, 1000)]
 
 
 def block_jackknife(data, totals, fn, blocks=100):

@@ -293,6 +293,8 @@ class TestSimulateReversal:
             simulate_reversal(op, state, 0, np.random.default_rng(1))
         with pytest.raises(DomainError):
             simulate_reversal(op, state, -5, np.random.default_rng(1))
+        with pytest.raises(DomainError, match="got int$"):
+            simulate_reversal(op, state, -10**5000, np.random.default_rng(1))
 
     @pytest.mark.parametrize("trials", [True, np.True_])
     def test_bool_trials_rejected(self, trials):
