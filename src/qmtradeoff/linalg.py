@@ -4,8 +4,8 @@ Everything a single-qubit measurement operator needs, evaluated on the four
 entries as Python scalars without iterative solvers: a canonical singular
 value factorization ``m = kappa * u @ diag(1, lam) @ v``, an angle
 parameterization of 2x2 unitaries with a pinned branch of ``alpha``, and the
-package's one 2x2 product, matrix-vector product and Gram ``m† m``; besides
-those, a plain JSON encoding for complex matrices.
+package's one matrix-vector product and Gram ``m† m``; besides those, a
+plain JSON encoding for complex matrices.
 
 The factorization convention puts the largest singular value into the scale
 ``kappa`` so the diagonal core is ``diag(1, lam)`` with ``lam`` in [0, 1].
@@ -90,16 +90,6 @@ def _entries(m) -> list:
     if not all(map(cmath.isfinite, flat)):
         raise FormatError("matrix entries must be finite")
     return flat
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> list:
-    # The rows of the 2x2 product x @ y, as Python complex.
-    x00, x01, x10, x11 = x.ravel().tolist()
-    y00, y01, y10, y11 = y.ravel().tolist()
-    return [
-        [x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
-        [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11],
-    ]
 
 
 def _apply(m: np.ndarray, x0, x1) -> tuple:

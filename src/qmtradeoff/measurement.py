@@ -183,7 +183,9 @@ class MeasurementSet:
         object.__setattr__(self, "operators", ops)
         if not ops:
             raise IncompleteSetError("a measurement set needs at least one operator")
-        labels = self.labels if self.labels else tuple(str(i) for i in range(len(ops)))
+        if not isinstance(self.labels, (tuple, list)):
+            raise FormatError('"labels" must be a list of strings')
+        labels = self.labels or tuple(str(i) for i in range(len(ops)))
         if not all(isinstance(x, str) for x in labels):
             raise FormatError('"labels" must be a list of strings')
         if len(labels) != len(ops):

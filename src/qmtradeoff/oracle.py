@@ -30,8 +30,8 @@ Conventions shared by both routes:
   analytic, so the rule is mapped onto subintervals graded toward u = -1,
   as many as lam needs down to lam = 0, each rule built once and shared;
 * every Monte Carlo estimator reads one input, a ``Batch``, which checks
-  its states once, on first use: shape (3, n) with n >= 2 and finite
-  entries, before any arithmetic;
+  its states once, on first use: shape (3, n) with n >= 2, finite entries
+  and memory that cannot be written, before any arithmetic;
 * one routine, ``_moments``, forms the sample mean, covariance and
   leave-one-block-out means of x (see ``Estimate``), one chunk up to
   ``_CHUNK`` states and a jackknife block at a time above: for a ``Batch``
@@ -86,21 +86,30 @@ class Estimate:
 
 class Batch(np.ndarray):
     """``(3, n)`` Bloch vectors r, n >= 2, the one input of every Monte Carlo
-    estimator; ``r.view(Batch)`` makes one of an array without a copy. Its
-    states are checked once, on first use, and must not change after it.
+    estimator; ``r.view(Batch)`` makes one of a read-only array without a
+    copy. Its states are checked once, on first use, and must not change
+    after it, so the batch and every array whose memory it views must be
+    read-only (``r.setflags(write=False)`` before the view).
     Its ``moments``, all that the fidelity and reversibility read, are
     ``_moments`` of x = ``_monomials(r)``, built on first use; a slice of a
     batch is a batch of its own columns."""
 
     @functools.cached_property
     def _size(self) -> int:
-        """n, once the shape is (3, n) with n >= 2 and every row's sum of
+        """n, once the shape is (3, n) with n >= 2, every row's sum of
         squares is finite (no NaN or infinite entry, none whose square
-        overflows), by one dot per row and no copy; else DomainError."""
+        overflows), by one dot per row and no copy, and no array along the
+        ``.base`` chain from the batch is writable; else DomainError, in
+        that order."""
         if self.ndim != 2 or self.shape[0] != 3 or self.shape[1] < 2:
             raise DomainError(f"need Bloch vectors of shape (3, n >= 2), got {self.shape}")
         if not all(math.isfinite(row.dot(row)) for row in self):
             raise DomainError("Bloch vectors must be finite")
+        a = self
+        while isinstance(a, np.ndarray):  # the batch, then each array whose memory it views
+            if a.flags.writeable:
+                raise DomainError("a Batch and every array it views must be read-only")
+            a = a.base
         return self.shape[1]
 
     @functools.cached_property
@@ -111,8 +120,9 @@ class Batch(np.ndarray):
 def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
     """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)``
     :class:`Batch` of Bloch vectors, with u = cos θ uniform on [-1, 1] and
-    phi on [0, 2 pi). n is an integer from 2 to 2**53, the counts that a
-    float holds exactly; DomainError otherwise."""
+    phi on [0, 2 pi), in a buffer made read-only before it is viewed. n is
+    an integer from 2 to 2**53, the counts that a float holds exactly;
+    DomainError otherwise."""
     _check_count(n, 2, "samples")
     r = np.empty((3, n))
     u = rng.uniform(-1.0, 1.0, size=n)
@@ -121,7 +131,7 @@ def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
     np.multiply(np.cos(phi, out=r[0]), s, out=r[0])
     np.multiply(np.sin(phi, out=r[1]), s, out=r[1])
     r[2] = u
-    return _read_only(r.view(Batch))[0]
+    return _read_only(r)[0].view(Batch)
 
 
 def _monomials(r: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IrreversibleError, ZeroProbabilityError
-from .linalg import _apply, _mul, _norm
+from .linalg import _apply, _norm
 from .measurement import MeasurementOperator, PureState, _check_count, outcome_probability
 
 #: Strength ratios below this are treated as exactly singular (irreversible).
@@ -69,6 +69,9 @@ class ReversalStats:
 def optimal_reversing(op: MeasurementOperator) -> ReversingMeasurement:
     """Build the optimal reversing measurement for one outcome.
 
+    R0's four entries are formed as Python scalars from the entries of the
+    canonical factors ``u`` and ``v``, with no 2x2 array arithmetic.
+
     Raises
     ------
     IrreversibleError
@@ -78,8 +81,12 @@ def optimal_reversing(op: MeasurementOperator) -> ReversingMeasurement:
     canon = op.canonical
     lam = canon.lam
     _check_reversible(lam)
+    (u00, u01), (u10, u11) = canon.u.tolist()
+    (v00, v01), (v10, v11) = canon.v.tolist()
+    w0, w1 = lam * v00, lam * v01  # the first row of diag(lam, 1) v
     # R0 = v† diag(lam, 1) u† is the conjugate transpose of u diag(lam, 1) v.
-    matrix = np.array(_mul(canon.u, canon.v * [[lam], [1.0]])).T.conj()
+    matrix = np.array([[(u00 * w0 + u01 * v10).conjugate(), (u10 * w0 + u11 * v10).conjugate()],
+                       [(u00 * w1 + u01 * v11).conjugate(), (u10 * w1 + u11 * v11).conjugate()]])
     return ReversingMeasurement(matrix=matrix, eta=canon.kappa * lam)
 
 
@@ -111,7 +118,9 @@ def simulate_reversal(
     Each trial post-selects the given outcome on ``state`` and then attempts
     the optimal reversal ``R0``, which succeeds with probability
     ``|R0 M psi|^2 / |M psi|^2`` from the matrices, so a misscaled ``R0``
-    shows in the rate; the predicted rate is reported beside it.
+    shows in the rate; the predicted rate is reported beside it. The trials
+    are independent at that one rate, so the success count is one binomial
+    draw, and nothing of size ``trials`` is allocated.
     Successful trials recover the pre-measurement state; the minimum overlap
     ``|<psi|psi_recovered>|`` across successes is verified against 1 within
     ``RECOVERY_OVERLAP_TOL`` and reported (vacuously 1.0 when every trial
@@ -133,7 +142,7 @@ def simulate_reversal(
     post = _apply(op.matrix, *state._pair())
     recovered = _apply(optimal_reversing(op).matrix, *post)
     rate = min((_norm(*recovered) / _norm(*post)) ** 2, 1.0)
-    successes = int(np.count_nonzero(rng.random(trials) < rate))
+    successes = int(rng.binomial(trials, rate))
 
     recovered_min = 1.0
     if successes:

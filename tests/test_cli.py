@@ -654,6 +654,17 @@ class TestSimulateReversal:
         )
         assert code == 2
 
+    def test_largest_trial_count_runs(self, capsys):
+        """2**53, the largest count that --trials accepts, runs to exit 0."""
+        code, out, err = run(
+            capsys, "simulate-reversal", "--lambda", "0.5", "--theta", "1",
+            "--trials", str(2**53), "--seed", "7",
+        )
+        assert (code, err) == (0, "")
+        vals = parsed_keyvals(out)
+        assert int(vals["trials"]) == 2**53
+        assert abs(float(vals["empirical_rate"]) - float(vals["predicted_rate"])) <= 1e-6
+
     def test_seed_is_mandatory(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate-reversal", "--lambda", "0.5", "--theta", "1"])

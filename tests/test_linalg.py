@@ -293,7 +293,7 @@ class TestScalarKernels:
 
     @pytest.mark.parametrize("kind", ["haar", "gaussian", "operators"])
     def test_product_helpers_match_numpy(self, kind):
-        """_mul, _apply and _gram against NumPy's @ and m.conj().T @ m, on
+        """_apply and _gram against NumPy's @ and m.conj().T @ m, on
         matrices scaled to operator norm 1, so that every entry of a result
         is at most 1 in modulus and 1e-15 is about 4 ulps."""
         rng = np.random.default_rng(2500 + self.KINDS.index(kind))
@@ -303,7 +303,6 @@ class TestScalarKernels:
                 np.testing.assert_allclose(
                     linalg._apply(x, *col.tolist()), x @ col, rtol=0, atol=1e-15
                 )
-            np.testing.assert_allclose(linalg._mul(x, y), x @ y, rtol=0, atol=1e-15)
             a, c, b = linalg._gram(x)
             assert type(a) is float and type(c) is float
             np.testing.assert_allclose(

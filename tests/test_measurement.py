@@ -218,10 +218,14 @@ class TestMeasurementSet:
         with pytest.raises(FormatError, match='^"labels" must be a list of strings$'):
             MeasurementSet.from_json(payload)
 
-    @pytest.mark.parametrize("labels", [(1,), (None,)])
+    @pytest.mark.parametrize(
+        "labels", [(1,), (None,), "a", "ab", np.array(["a"]), np.array(["a", "b"])]
+    )
     def test_constructor_labels_must_be_strings(self, labels):
         """The constructor keeps the rule of from_json, so to_json never
-        writes a payload that from_json rejects."""
+        writes a payload that from_json rejects. The labels are a tuple or a
+        list: a string is not split into labels, and an array of strings
+        raises FormatError, not NumPy's ValueError about its truth value."""
         with pytest.raises(FormatError, match='^"labels" must be a list of strings$'):
             MeasurementSet(operators=(np.eye(2),), labels=labels)
 

@@ -283,8 +283,8 @@ class TestDegenerateSample:
     def test_vanishing_q_raises(self, n, estimate):
         r = np.zeros((3, n))
         r[2] = -1.0
+        r.setflags(write=False)
         batch = r.view(oracle.Batch)
-        batch.setflags(write=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSampleError, match="not positive"):
@@ -520,7 +520,9 @@ class TestBatchMoments:
         """A column slice of a batch estimates as a fresh batch of the same
         columns does."""
         batch, op = bloch(6, 2000), diag_op(0.3)
-        copy = np.array(batch[:, :k]).view(oracle.Batch)
+        copy = np.array(batch[:, :k])
+        copy.setflags(write=False)
+        copy = copy.view(oracle.Batch)
         for estimator in (estimate_fidelity, estimate_reversibility):
             assert estimator(op, batch[:, :k]) == estimator(op, copy), estimator.__name__
 
@@ -591,7 +593,9 @@ class TestChunkTable:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_moments_read_each_chunk_once(self, n):
-        r = np.random.default_rng(n).uniform(-1.0, 1.0, (3, n)).view(oracle.Batch)
+        r = np.random.default_rng(n).uniform(-1.0, 1.0, (3, n))
+        r.setflags(write=False)
+        r = r.view(oracle.Batch)
         spans = []
 
         def rows(chunk):
@@ -667,6 +671,26 @@ class TestBatchInput:
         assert checks == [(3, 2000)]
         estimate_information(diag_op(0.5), batch[:, :1000])
         assert checks == [(3, 2000), (3, 1000)]
+
+    def test_writable_states_rejected(self):
+        """A batch whose memory can still be written could change after its
+        moments are cached. So a writable copy of a drawn batch, before and
+        after a NaN is written into it, and a read-only view of a writable
+        array raise DomainError in every estimator; a drawn batch and its
+        buffer are read-only."""
+        drawn = bloch(12, 1000)
+        assert not drawn.flags.writeable and not drawn.base.flags.writeable
+        writable = np.array(drawn).view(oracle.Batch)
+        view = np.array(drawn).view(oracle.Batch)
+        view.setflags(write=False)
+        for estimator in self.ESTIMATORS:
+            for batch in (writable, view):
+                with pytest.raises(DomainError, match="read-only"):
+                    estimator(diag_op(0.5), batch)
+        writable[2] = np.nan
+        for estimator in self.ESTIMATORS:
+            with pytest.raises(DomainError):
+                estimator(diag_op(0.5), writable)
 
 
 def block_jackknife(data, totals, fn, blocks=100):

@@ -1,6 +1,7 @@
 """Construction and simulation of the optimal reversing measurement."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -285,6 +286,20 @@ class TestSimulateReversal:
                     outside.append((lam, theta))
                 assert stats.recovered_fidelity_min >= 1.0 - 1e-10
         assert outside
+
+    def test_largest_trial_count_in_constant_memory(self):
+        """Every trial succeeds at the one post-selected rate, so the count is
+        one binomial draw: 2**53 trials, the most a count may be, allocate
+        nothing of that size and end within a second, at the predicted rate
+        to far better than 1e-6 (the binomial spread is about 5e-9)."""
+        op = make_operator(0.9, 0.5, seed=31)
+        start = time.perf_counter()
+        stats = simulate_reversal(op, PureState(theta=1.0, phi=0.4), 2**53,
+                                  np.random.default_rng(7))
+        assert time.perf_counter() - start < 1.0
+        assert stats.trials == 2**53 and 0 <= stats.successes <= stats.trials
+        assert abs(stats.empirical_rate - stats.predicted_rate) <= 1e-6
+        assert stats.recovered_fidelity_min >= 1.0 - 1e-10
 
     def test_trials_validated(self):
         op = make_operator(1.0, 0.5)
