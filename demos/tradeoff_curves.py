@@ -6,12 +6,17 @@ ratio lam of the operator's two singular values. This script walks lam from
 0 (projector) to 1 (identity) and tabulates what each endpoint pins down and
 how the two efficiencies pull in opposite directions in between.
 
-Same data as `qmtradeoff sweep --points 11`; here with commentary.
+Same data as `qmtradeoff sweep --points 11`; here with commentary. Then
+the same curves as functions of the information I, against what they say
+about a whole measurement (tests/test_relations.py checks both relations).
 """
+
+import math
 
 import numpy as np
 
-from qmtradeoff.analytics import tradeoff_record
+from qmtradeoff.analytics import INFO_AT_ZERO, averaged_quantities, tradeoff_record
+from qmtradeoff.measurement import MeasurementSet
 
 grid = np.linspace(0.0, 1.0, 11)
 
@@ -38,6 +43,31 @@ r25, r75 = tradeoff_record(0.25), tradeoff_record(0.75)
 assert r25.eff_fidelity < r75.eff_fidelity
 assert r25.eff_reversibility > r75.eff_reversibility
 print("Checked: eff_fidelity rises with lam while eff_reversibility falls.")
+print()
+
+# One outcome's curves F_opt(I) and R(I) bound a whole measurement differently.
+# F_opt(I) is concave, so a complete set's averages lie on or under it. R(I)
+# is convex, so they need not: the bound on averaged reversibility is the
+# chord from the projector (INFO_AT_ZERO, 0) to the identity (0, 1).
+print("info       fid_opt    rev        chord = 1 - info / INFO_AT_ZERO")
+for lam in grid:
+    r = tradeoff_record(lam)
+    chord = 1.0 - r.info / INFO_AT_ZERO
+    assert r.reversibility <= chord  # convex under its chord, equal at both ends
+    print(f"{r.info:9.6f}  {r.fidelity_opt:9.6f}  {r.reversibility:9.6f}  {chord:9.6f}")
+
+# Mixing the identity with the two projectors meets the chord, well above
+# the single-outcome curve R(I).
+h = math.sqrt(0.5)
+avg = averaged_quantities(
+    MeasurementSet(operators=(h * np.eye(2), np.diag([h, 0.0]), np.diag([0.0, h])))
+)
+chord = 1.0 - avg.info / INFO_AT_ZERO
+assert abs(avg.reversibility - chord) <= 1e-12
+print()
+print("{sqrt(1/2) I, sqrt(1/2) |0><0|, sqrt(1/2) |1><1|}:")
+print(f"  I_avg {avg.info:.4f}, F_avg {avg.fidelity:.4f}, R_avg {avg.reversibility:.4f}"
+      f" on the chord {chord:.4f}")
 print()
 print("To plot, pipe the CLI's CSV into any plotter, e.g.:")
 print("  qmtradeoff sweep --points 200 --output curve.csv")

@@ -46,9 +46,10 @@ class Svd2Result:
     lam : float
         Ratio of smaller to larger singular value, in [0, 1].
     u, v : np.ndarray
-        2x2 unitaries with ``kappa * u @ diag(1, lam) @ v`` reproducing the
-        input. ``u``'s column phases are fixed by :func:`svd2`'s gauge, with
-        the compensating phases absorbed into the rows of ``v``.
+        Read-only 2x2 unitaries with ``kappa * u @ diag(1, lam) @ v``
+        reproducing the input. ``u``'s column phases are fixed by
+        :func:`svd2`'s gauge, with the compensating phases absorbed into the
+        rows of ``v``.
     """
 
     kappa: float
@@ -139,8 +140,9 @@ def svd2(m) -> Svd2Result:
     -------
     Svd2Result
         ``kappa`` is the largest singular value, ``lam`` the singular value
-        ratio in [0, 1], and ``u``/``v`` are unitary within 1e-10 with the
-        reconstruction exact to better than 1e-12 entrywise.
+        ratio in [0, 1], and ``u``/``v`` are read-only arrays, unitary
+        within 1e-10, with the reconstruction exact to better than 1e-12
+        entrywise.
 
     Raises
     ------
@@ -193,12 +195,11 @@ def svd2(m) -> Svd2Result:
         sigma1 = _norm(m00, m10)
         kappa = _kappa(sigma1, e)
         sigma2 = _norm(m01, m11)
-        return Svd2Result(
-            kappa=kappa,
-            lam=min(sigma2 / sigma1, 1.0),
-            u=np.array([[m00 / sigma1, m01 / sigma1], [m10 / sigma1, m11 / sigma1]]),
-            v=np.eye(2, dtype=complex),
-        )
+        u = np.array([[m00 / sigma1, m01 / sigma1], [m10 / sigma1, m11 / sigma1]])
+        v = np.eye(2, dtype=complex)
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return Svd2Result(kappa=kappa, lam=min(sigma2 / sigma1, 1.0), u=u, v=v)
 
     v1 = (b / n1, (eig1 - a) / n1) if n1 >= n2 else ((eig1 - c) / n2, b.conjugate() / n2)
     v2 = (-v1[1].conjugate(), v1[0].conjugate())  # orthonormal complement
@@ -221,13 +222,16 @@ def svd2(m) -> Svd2Result:
         u2 = (u2[0] * z, u2[1] * z)
 
     # Deterministic phase gauge; keeps u_i v_i† (hence the product) unchanged.
-    u, v = np.empty((2, 2), dtype=complex), np.empty((2, 2), dtype=complex)
-    for i, ((p, q), (s, t)) in enumerate(((u1, v1), (u2, v2))):
+    gauged = []
+    for (p, q), (s, t) in ((u1, v1), (u2, v2)):
         g = q if abs(q) > abs(p) * (1.0 + GAUGE_TIE_TOL) else p
         phase = g / abs(g)
-        u[:, i] = p * phase.conjugate(), q * phase.conjugate()
-        v[i] = s.conjugate() * phase, t.conjugate() * phase
-
+        bar = phase.conjugate()
+        gauged.append((p * bar, q * bar, s.conjugate() * phase, t.conjugate() * phase))
+    (p1, q1, s1, t1), (p2, q2, s2, t2) = gauged
+    u, v = np.array([[p1, p2], [q1, q2]]), np.array([[s1, t1], [s2, t2]])
+    u.setflags(write=False)
+    v.setflags(write=False)
     return Svd2Result(kappa=kappa, lam=lam, u=u, v=v)
 
 

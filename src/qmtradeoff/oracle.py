@@ -20,9 +20,12 @@ Conventions shared by both routes:
   the fidelity and the reversibility are each one pair of coefficient rows,
   ``coef``, and zbar / qbar of ``coef @ mean`` of x; the routes differ only
   in that mean: the sphere's exact ``_SPHERE_MEAN``, or that of a ``Batch``
-  of states. ``verify`` hands one batch to every estimator at every lam, so
-  one unlucky batch fails a band of lam together (README, *Numerical
-  notes*, gives the rate);
+  of states. An operator's rows (``_q_coef``, ``_fidelity_coef``,
+  ``_reversibility_coef``) are built once, for the last operator seen, and
+  are read-only, as all of its oracle calls share them; an operator hashes
+  by identity and cannot change. ``verify`` hands one batch to every
+  estimator at every lam, so one unlucky batch fails a band of lam together
+  (README, *Numerical notes*, gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
   or node, each filling the same rows (q, q log2 q) in place, q log2 q from
   q. The quadrature runs along g, q = g0 + |g| u, as the prior is rotation
@@ -149,7 +152,7 @@ def _moments(r: Batch, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
     checked size, so ``rows`` never sees a malformed or non-finite state."""
     n = r._size
     chunks, kept = _jackknife_blocks(n, _CHUNK)
-    dev = m2 = 0.0
+    dev = 0.0
     for lo, hi, starts, cols in chunks:
         x = rows(r[:, lo:hi])
         if lo == 0:
@@ -157,7 +160,7 @@ def _moments(r: Batch, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
             mean = total / hi
         np.add.reduceat(x, starts, axis=1, out=sums[:, cols])
         x -= mean[:, None]
-        m2 += np.dot(x, x.T)
+        m2 = np.dot(x, x.T) if lo == 0 else m2 + np.dot(x, x.T)
         if len(chunks) > 1:
             dev += np.add.reduce(x, axis=1)
     if len(chunks) > 1:  # from the first chunk's mean to the batch mean; one chunk has none
@@ -174,15 +177,20 @@ def _pauli(a) -> tuple:
     return 0.5 * (a00 + a11), (0.5 * (a01 + a10), 0.5j * (a01 - a10), 0.5 * (a00 - a11))
 
 
+@functools.lru_cache(maxsize=1)
 def _q_coef(op: MeasurementOperator) -> np.ndarray:
     """Coefficients on x of q = <psi|M†M|psi> / kappa^2 = g0 + g . r, the Pauli
     coefficients of linalg._gram's M†M = [[a, b], [conj(b), c]] over kappa^2.
     Uses the raw matrix, so any right unitary factor shows up pointwise (its
-    effect must — and does — wash out of uniform averages)."""
+    effect must — and does — wash out of uniform averages). Read-only, and
+    built once per operator, as are ``_fidelity_coef`` and
+    ``_reversibility_coef``: the cache holds the last operator, keyed by
+    identity."""
     a, c, b = _gram(op.matrix)
     g0, (g1, g2, g3) = _pauli(((a, b), (b.conjugate(), c)))
     k2 = op.kappa * op.kappa
-    return np.array([g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2] + [0.0] * 6)
+    coef = np.array([g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2] + [0.0] * 6)
+    return _read_only(coef)[0]
 
 
 def _amplitude_pauli(op: MeasurementOperator) -> tuple:
@@ -191,23 +199,28 @@ def _amplitude_pauli(op: MeasurementOperator) -> tuple:
     return _pauli(((u00, u01 * op.lam), (u10, u11 * op.lam)))
 
 
+@functools.lru_cache(maxsize=1)
 def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
-    """Coefficients on x, as two rows, of q of the canonical operator and of
-    the fidelity integrand ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from
-    ``_amplitude_pauli``: Re(c_i* c_j), twice over for i < j."""
+    """Coefficients on x, as two read-only rows built once per operator, of q
+    of the canonical operator and of the fidelity integrand
+    ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from ``_amplitude_pauli``:
+    Re(c_i* c_j), twice over for i < j."""
     b0, b = _amplitude_pauli(op)
     re, im, lam = [c.real for c in (b0, *b)], [c.imag for c in (b0, *b)], op.lam
-    return np.array([
+    return _read_only(np.array([
         [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
         [(re[i] * re[j] + im[i] * im[j]) * (2.0 - (i == j)) for i, j in zip(*_PAIRS)],
-    ])
+    ]))[0]
 
 
+@functools.lru_cache(maxsize=1)
 def _reversibility_coef(op: MeasurementOperator) -> np.ndarray:
-    """Coefficients on x of q (``_q_coef``) and lam^2 x_0 (x_0 = 1), whose ratio
-    of means is the reversibility; IrreversibleError where lam = 0."""
+    """Coefficients on x, as two read-only rows built once per operator, of q
+    (``_q_coef``) and lam^2 x_0 (x_0 = 1), whose ratio of means is the
+    reversibility; IrreversibleError where lam = 0, raised at every call (an
+    exception is never cached)."""
     _check_reversible(op.lam)
-    return np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9])
+    return _read_only(np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9]))[0]
 
 
 def _information_rows(x: np.ndarray) -> np.ndarray:
@@ -352,9 +365,11 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
     u, w = _gauss_legendre(depth)
     g = _q_coef(op).tolist()
     x = np.empty((2, u.size))
-    x[0] = g[0] + math.hypot(g[1], g[2], g[3]) * u
-    qbar, qlog = (0.5 * np.add.reduce(_information_rows(x) * w, axis=1)).tolist()
-    value = qlog / qbar - math.log2(qbar)
+    np.multiply(u, math.hypot(g[1], g[2], g[3]), out=x[0])
+    x[0] += g[0]
+    # Twice the means, as the weights sum to 2; the factor 0.5 is exact.
+    qsum, qlogsum = np.add.reduce(np.multiply(_information_rows(x), w, out=x), axis=1).tolist()
+    value = qlogsum / qsum - math.log2(0.5 * qsum)
     return Estimate(value=value, std_error=0.0, samples=u.size, method="quadrature")
 
 

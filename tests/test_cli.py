@@ -433,6 +433,23 @@ class TestVerify:
         assert len(seen) == 2 + 3 + 3
         assert all(r is draws[0] for r in seen)
 
+    def test_rows_built_once_per_operator(self, capsys, monkeypatch):
+        """Each grid point's operator builds its coefficient rows once for
+        all six oracle calls: one Gram matrix (q's rows, read by both
+        information oracles and both reversibility oracles) and one
+        amplitude (the fidelity's rows, read by both fidelity oracles)."""
+        calls = {"_gram": 0, "_amplitude_pauli": 0}
+        for name in calls:
+            def counting(*args, name=name, real=getattr(oracle, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, counting)
+        code, _, _ = run(capsys, "verify", "--lambda-min", "0", "--lambda-max", "1",
+                         "--points", "5", "--samples", "200", "--seed", "1")
+        assert code == 0
+        assert calls == {"_gram": 5, "_amplitude_pauli": 5}
+
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify"])

@@ -144,6 +144,24 @@ class TestSvd2:
         assert r.lam == pytest.approx(1e-12, rel=1e-6)
         np.testing.assert_allclose(r.u.conj().T @ r.u, np.eye(2), atol=1e-13)
 
+    @pytest.mark.parametrize("m", [
+        np.array([[0.3 + 0.4j, -0.2], [0.1j, 0.5 - 0.1j]]),  # the general branch
+        np.diag([0.7, 0.7]),  # degenerate: v = I
+    ])
+    def test_factors_are_read_only(self, m):
+        """Writing into a canonical factor raises and leaves it as it was. A
+        writable u would let ``op.canonical.u[:] = X`` move the fidelity of
+        diag(1, 0.5) from 0.93333 to 0.33333 while lam stays 0.5, and
+        leave the oracle's cached rows stale against it."""
+        canon = MeasurementOperator(m).canonical
+        for factor in (canon.u, canon.v):
+            before = factor.copy()
+            with pytest.raises(ValueError):
+                factor[:] = [[0.0, 1.0], [1.0, 0.0]]
+            with pytest.raises(ValueError):
+                factor[0, 0] = 2.0
+            assert factor.tobytes() == before.tobytes()
+
 
 def svd2_reference(m):
     """The NumPy formulation of :func:`svd2`: the same algorithm and guards

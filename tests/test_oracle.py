@@ -33,6 +33,7 @@ from qmtradeoff.oracle import (
     _monomials,
     _pauli,
     _q_coef,
+    _reversibility_coef,
     estimate_fidelity,
     estimate_information,
     estimate_reversibility,
@@ -858,6 +859,8 @@ class TestQuadratureAgreement:
             return a, c, 2.0 * b
 
         monkeypatch.setattr(oracle, "_gram", doubled)
+        # Built after the patch, as each operator's rows are built once.
+        op = MeasurementOperator(op.matrix)
         assert abs(quadrature_information(op).value - reference) > 1e-8
         est = estimate_information(op, r)
         assert abs(est.value - reference) > 4.0 * est.std_error
@@ -1005,7 +1008,9 @@ class TestMomentForm:
         reference = analytics.fidelity_of_operator(self.OP)
         assert abs(quadrature_fidelity(self.OP).value - reference) < 1e-12
         monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
-        assert abs(quadrature_fidelity(self.OP).value - reference) > 1e-8
+        # Built after the patch, as each operator's rows are built once.
+        op = MeasurementOperator(self.OP.matrix)
+        assert abs(quadrature_fidelity(op).value - reference) > 1e-8
 
     @pytest.mark.parametrize("wrong", ["flipped_trace", "right_factor", "squared_core"])
     def test_wrong_integrand_fails_the_monte_carlo_gate(self, monkeypatch, wrong):
@@ -1018,7 +1023,9 @@ class TestMomentForm:
         est = estimate_fidelity(self.OP, r)
         assert abs(est.value - reference) <= 4.0 * est.std_error
         monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
-        est = estimate_fidelity(self.OP, r)
+        # Built after the patch, as each operator's rows are built once.
+        op = MeasurementOperator(self.OP.matrix)
+        est = estimate_fidelity(op, r)
         assert abs(est.value - reference) > 4.0 * est.std_error
 
 
@@ -1118,3 +1125,35 @@ print(json.dumps(calls))
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+class TestRowCache:
+    """Each operator's coefficient rows are built once, read-only, and
+    shared by all of its oracle calls."""
+
+    BUILDERS = (_q_coef, _fidelity_coef, _reversibility_coef)
+
+    def test_rows_built_once_and_read_only(self):
+        op = MeasurementOperator(TestMomentForm.OP.matrix)
+        for build in self.BUILDERS:
+            rows = build(op)
+            assert not rows.flags.writeable
+            assert build(op) is rows
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+    def test_fresh_operator_gets_the_same_rows(self):
+        """The rows depend on the matrix alone: a second operator built from
+        the same matrix gets rows of its own, bit for bit the first's."""
+        op = TestMomentForm.OP
+        for build in self.BUILDERS:
+            rows, fresh = build(op), build(MeasurementOperator(op.matrix))
+            assert fresh is not rows
+            assert fresh.tobytes() == rows.tobytes()
+
+    def test_irreversible_raises_at_every_call(self):
+        """An exception is never cached: lam = 0 raises at every call."""
+        op = diag_op(0.0)
+        for _ in range(2):
+            with pytest.raises(IrreversibleError):
+                _reversibility_coef(op)
