@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,8 +199,7 @@ def _efficiencies(lam: float, info: float) -> tuple:
             info / ((1.0 - lam) * (1.0 + lam) / (1.0 + lam * lam)))
 
 
-@dataclass(frozen=True)
-class TradeoffRecord:
+class TradeoffRecord(NamedTuple):
     """All tradeoff quantities evaluated at one strength ratio."""
 
     lam: float
@@ -220,8 +219,7 @@ def tradeoff_record(lam: float) -> TradeoffRecord:
     )
 
 
-@dataclass(frozen=True)
-class AveragedQuantities:
+class AveragedQuantities(NamedTuple):
     """Outcome-averaged tradeoff quantities of a complete measurement set."""
 
     info: float

@@ -9,13 +9,19 @@ plain JSON encoding for complex matrices.
 
 The factorization convention puts the largest singular value into the scale
 ``kappa`` so the diagonal core is ``diag(1, lam)`` with ``lam`` in [0, 1].
+
+``svd2`` is one straight-line function on Python scalars: its entries are
+read once, scaled by one finite power of two, their norms taken by
+``math.hypot`` inline, and both columns' gauge written out. Its results,
+``Svd2Result`` and ``Su2Params``, are NamedTuples, as is every record of the
+package that checks nothing at construction.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +41,7 @@ DEGENERACY_TOL = 1e-14
 GAUGE_TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Svd2Result:
+class Svd2Result(NamedTuple):
     """Canonical factorization of a 2x2 complex matrix.
 
     Attributes
@@ -58,8 +63,7 @@ class Svd2Result:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class Su2Params:
+class Su2Params(NamedTuple):
     """Angle parameterization of a 2x2 unitary.
 
     The reassembly convention is::
@@ -147,7 +151,9 @@ def svd2(m) -> Svd2Result:
     Raises
     ------
     ZeroOperatorError
-        If the largest singular value falls below ``ZERO_OPERATOR_TOL``.
+        If the largest singular value falls below ``ZERO_OPERATOR_TOL``:
+        before any arithmetic where the largest entry modulus is below half
+        of it, as sigma1 <= 2 max |m_ij|, and otherwise from sigma1.
     FormatError
         If the largest singular value exceeds the float range.
 
@@ -159,7 +165,9 @@ def svd2(m) -> Svd2Result:
     * the factorization is scale-equivariant, so it runs on ``m`` divided
       by the power of two that brings its largest entry into [0.5, 1);
       only ``kappa`` is scaled back, and entries near the float range no
-      longer overflow ``m† m`` into NaN;
+      longer overflow ``m† m`` into NaN. After the zero test that power
+      is finite, so each real and imaginary part is multiplied by it,
+      with ldexp's bits; the complex product would flip signed zeros;
     * the eigenvector of ``m† m`` is taken from whichever closed-form
       candidate has the larger norm, which is always well conditioned away
       from exact degeneracy;
@@ -177,62 +185,75 @@ def svd2(m) -> Svd2Result:
       entry, so rounding the input, e.g. by scaling it, cannot move it.
     """
     flat = _entries(m)
-    e = math.frexp(max(map(abs, flat)))[1]
-    m00, m01, m10, m11 = (complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in flat)
+    big = max(map(abs, flat))
+    if big < 0.5 * ZERO_OPERATOR_TOL:  # sigma1 <= 2 max |m_ij|: zero before any scaling
+        raise ZeroOperatorError("operator is numerically zero")
+    e = math.frexp(big)[1]
+    scale = math.ldexp(1.0, -e)  # 2^-e, from 2^-1024 to 2^47: each product is ldexp's, ±0 kept
+    x00, x01, x10, x11 = flat
+    m00 = complex(x00.real * scale, x00.imag * scale)
+    m01 = complex(x01.real * scale, x01.imag * scale)
+    m10 = complex(x10.real * scale, x10.imag * scale)
+    m11 = complex(x11.real * scale, x11.imag * scale)
     # h = m† m = [[a, b], [conj(b), c]]; _gram's diagonal would move kappa and lam an ulp.
-    a = _norm(m00, m10) ** 2
-    c = _norm(m01, m11) ** 2
+    col0 = math.hypot(m00.real, m00.imag, m10.real, m10.imag)
+    col1 = math.hypot(m01.real, m01.imag, m11.real, m11.imag)
+    a, c = col0**2, col1**2
     b = m00.conjugate() * m01 + m10.conjugate() * m11
     disc = math.hypot(0.5 * (a - c), abs(b))
     eig1 = 0.5 * (a + c) + disc
 
     # Candidate eigenvectors for eig1 from the two rows of (h - eig1 I).
-    n1 = _norm(b, eig1 - a)
-    n2 = _norm(eig1 - c, b)
+    n1 = math.hypot(b.real, b.imag, eig1 - a)
+    n2 = math.hypot(eig1 - c, b.real, b.imag)
 
     if max(n1, n2) <= DEGENERACY_TOL * (a + c):
         # sigma1 == sigma2 (h proportional to I): any right basis works.
-        sigma1 = _norm(m00, m10)
-        kappa = _kappa(sigma1, e)
-        sigma2 = _norm(m01, m11)
-        u = np.array([[m00 / sigma1, m01 / sigma1], [m10 / sigma1, m11 / sigma1]])
+        kappa = _kappa(col0, e)
+        u = np.array([[m00 / col0, m01 / col0], [m10 / col0, m11 / col0]])
         v = np.eye(2, dtype=complex)
         u.setflags(write=False)
         v.setflags(write=False)
-        return Svd2Result(kappa=kappa, lam=min(sigma2 / sigma1, 1.0), u=u, v=v)
+        return Svd2Result(kappa, min(col1 / col0, 1.0), u, v)
 
-    v1 = (b / n1, (eig1 - a) / n1) if n1 >= n2 else ((eig1 - c) / n2, b.conjugate() / n2)
-    v2 = (-v1[1].conjugate(), v1[0].conjugate())  # orthonormal complement
+    # The right singular vectors: rows (s1, t1) and (s2, t2) of v before the gauge.
+    if n1 >= n2:
+        s1, t1 = b / n1, (eig1 - a) / n1
+    else:
+        s1, t1 = (eig1 - c) / n2, b.conjugate() / n2
+    s2, t2 = -t1.conjugate(), s1.conjugate()  # orthonormal complement
 
-    mv1 = (m00 * v1[0] + m01 * v1[1], m10 * v1[0] + m11 * v1[1])
-    sigma1 = _norm(*mv1)
+    mv1, mw1 = m00 * s1 + m01 * t1, m10 * s1 + m11 * t1
+    sigma1 = math.hypot(mv1.real, mv1.imag, mw1.real, mw1.imag)
     kappa = _kappa(sigma1, e)
-    u1 = (mv1[0] / sigma1, mv1[1] / sigma1)
+    p1, q1 = mv1 / sigma1, mw1 / sigma1  # the first column of u
 
-    mv2 = (m00 * v2[0] + m01 * v2[1], m10 * v2[0] + m11 * v2[1])
-    sigma2 = _norm(*mv2)
+    mv2, mw2 = m00 * s2 + m01 * t2, m10 * s2 + m11 * t2
+    sigma2 = math.hypot(mv2.real, mv2.imag, mw2.real, mw2.imag)
     lam = min(sigma2 / sigma1, 1.0)
 
-    u2 = (-u1[1].conjugate(), u1[0].conjugate())
-    z = u2[0].conjugate() * mv2[0] + u2[1].conjugate() * mv2[1]
+    p2, q2 = -q1.conjugate(), p1.conjugate()
+    z = p2.conjugate() * mv2 + q2.conjugate() * mw2
     if abs(z) > 0.0:  # scaled first: a subnormal z has too few bits for z / |z|
         e = math.frexp(abs(z))[1]
         z = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
         z /= abs(z)
-        u2 = (u2[0] * z, u2[1] * z)
+        p2, q2 = p2 * z, q2 * z
 
-    # Deterministic phase gauge; keeps u_i v_i† (hence the product) unchanged.
-    gauged = []
-    for (p, q), (s, t) in ((u1, v1), (u2, v2)):
-        g = q if abs(q) > abs(p) * (1.0 + GAUGE_TIE_TOL) else p
-        phase = g / abs(g)
-        bar = phase.conjugate()
-        gauged.append((p * bar, q * bar, s.conjugate() * phase, t.conjugate() * phase))
-    (p1, q1, s1, t1), (p2, q2, s2, t2) = gauged
-    u, v = np.array([[p1, p2], [q1, q2]]), np.array([[s1, t1], [s2, t2]])
+    # Deterministic phase gauge per column of u, from its first entry or its
+    # clearly larger second; the conjugate phase moves into that row of v, so
+    # u_i v_i† (hence the product) is unchanged.
+    tie = 1.0 + GAUGE_TIE_TOL
+    g1 = q1 if abs(q1) > abs(p1) * tie else p1
+    g2 = q2 if abs(q2) > abs(p2) * tie else p2
+    ph1, ph2 = g1 / abs(g1), g2 / abs(g2)
+    bar1, bar2 = ph1.conjugate(), ph2.conjugate()
+    u = np.array([[p1 * bar1, p2 * bar2], [q1 * bar1, q2 * bar2]])
+    v = np.array([[s1.conjugate() * ph1, t1.conjugate() * ph1],
+                  [s2.conjugate() * ph2, t2.conjugate() * ph2]])
     u.setflags(write=False)
     v.setflags(write=False)
-    return Svd2Result(kappa=kappa, lam=lam, u=u, v=v)
+    return Svd2Result(kappa, lam, u, v)
 
 
 def su2_params(u) -> Su2Params:

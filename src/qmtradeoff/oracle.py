@@ -28,10 +28,12 @@ Conventions shared by both routes:
   (README, *Numerical notes*, gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
   or node, each filling the same rows (q, q log2 q) in place, q log2 q from
-  q. The quadrature runs along g, q = g0 + |g| u, as the prior is rotation
-  invariant. q vanishes about 2 lam^2 beyond u = -1, where q log q is not
-  analytic, so the rule is mapped onto subintervals graded toward u = -1,
-  as many as lam needs down to lam = 0, each rule built once and shared;
+  q; the clamp of q at 1e-300 and the zeroing where q <= 0 run only where
+  the least q needs them (both for a NaN). The quadrature runs along g,
+  q = g0 + |g| u, as the prior is rotation invariant. q vanishes about
+  2 lam^2 beyond u = -1, where q log q is not analytic, so the rule is
+  mapped onto subintervals graded toward u = -1, as many as lam needs down
+  to lam = 0, each rule built once and shared;
 * every Monte Carlo estimator reads one input, a ``Batch``, which checks
   its states once, on first use: shape (3, n) with n >= 2, finite entries
   and memory that cannot be written, before any arithmetic;
@@ -46,8 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,18 +67,21 @@ _CHUNK = 2**13
 NODES = 64
 
 #: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ,
-#: as lists of Python ints: ``_fidelity_coef`` loops over them in scalar code.
+#: as the row and the column indices that ``_monomials`` takes; the second
+#: row of ``_fidelity_coef`` writes out its ten products in the same order.
 _PAIRS = tuple(p.tolist() for p in np.triu_indices(4))
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """A numerical estimate of one tradeoff quantity.
+class Estimate(NamedTuple):
+    """A numerical estimate of one tradeoff quantity: a NamedTuple, cheap
+    to build (``verify`` builds six per lam), whose fields cannot be set
+    and which compares and hashes by value.
 
     ``std_error`` is zero for deterministic quadrature. For Monte Carlo,
     ``std_error`` comes from the delta method applied to the ratio of sample
     means and ``std_error_jackknife`` from leave-one-block-out resampling;
-    the two should agree to within a factor of order one.
+    the two should agree to within a factor of order one. Quadrature leaves
+    ``std_error_jackknife`` at its default, None.
     """
 
     value: float
@@ -205,11 +209,15 @@ def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
     of the canonical operator and of the fidelity integrand
     ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from ``_amplitude_pauli``:
     Re(c_i* c_j), twice over for i < j."""
-    b0, b = _amplitude_pauli(op)
-    re, im, lam = [c.real for c in (b0, *b)], [c.imag for c in (b0, *b)], op.lam
+    c0, (c1, c2, c3) = _amplitude_pauli(op)
+    r0, r1, r2, r3, lam = c0.real, c1.real, c2.real, c3.real, op.lam
+    i0, i1, i2, i3 = c0.imag, c1.imag, c2.imag, c3.imag
     return _read_only(np.array([
         [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
-        [(re[i] * re[j] + im[i] * im[j]) * (2.0 - (i == j)) for i, j in zip(*_PAIRS)],
+        [r0 * r0 + i0 * i0, (r0 * r1 + i0 * i1) * 2.0, (r0 * r2 + i0 * i2) * 2.0,
+         (r0 * r3 + i0 * i3) * 2.0, r1 * r1 + i1 * i1, (r1 * r2 + i1 * i2) * 2.0,
+         (r1 * r3 + i1 * i3) * 2.0, r2 * r2 + i2 * i2, (r2 * r3 + i2 * i3) * 2.0,
+         r3 * r3 + i3 * i3],
     ]))[0]
 
 
@@ -225,10 +233,15 @@ def _reversibility_coef(op: MeasurementOperator) -> np.ndarray:
 
 def _information_rows(x: np.ndarray) -> np.ndarray:
     """Information's rows x = (q, q log2 q): fills the second in place from
-    the q in the first, taking q log2 q as its limit 0 where q <= 0."""
+    the q in the first, taking q log2 q as its limit 0 where q <= 0. Every
+    bit is that of ``where(q > 0, q * log2(maximum(q, 1e-300)), 0)``; each
+    guard runs only where the least q needs it, and a NaN runs both."""
     q, t = x
-    np.multiply(np.log2(np.maximum(q, 1e-300, out=t), out=t), q, out=t)
-    np.copyto(t, 0.0, where=~(q > 0.0))
+    least = np.minimum.reduce(q)
+    np.log2(q if least >= 1e-300 else np.maximum(q, 1e-300, out=t), out=t)
+    np.multiply(t, q, out=t)
+    if not least > 0.0:
+        np.copyto(t, 0.0, where=~(q > 0.0))
     return x
 
 

@@ -15,7 +15,7 @@ measurement requires one or more extra operators with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ def _check_reversible(lam: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ReversingMeasurement:
+class ReversingMeasurement(NamedTuple):
     """Success operator of the optimal reversing measurement.
 
     Attributes
@@ -55,8 +54,7 @@ class ReversingMeasurement:
     eta: float
 
 
-@dataclass(frozen=True)
-class ReversalStats:
+class ReversalStats(NamedTuple):
     """Tally of a simulated reverse-or-fail experiment."""
 
     trials: int

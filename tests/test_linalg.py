@@ -1,5 +1,6 @@
 """Factorization, parameterization, and serialization of 2x2 operators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qmtradeoff
 from qmtradeoff import linalg
-from qmtradeoff.errors import FormatError, NotUnitaryError, ZeroOperatorError
+from qmtradeoff.errors import (
+    FormatError,
+    InvalidStrengthError,
+    NotUnitaryError,
+    ZeroOperatorError,
+)
 from qmtradeoff.linalg import (
     DEGENERACY_TOL,
     GAUGE_TIE_TOL,
@@ -161,6 +168,86 @@ class TestSvd2:
             with pytest.raises(ValueError):
                 factor[0, 0] = 2.0
             assert factor.tobytes() == before.tobytes()
+
+
+class TestFloatRangeEdges:
+    """Entries at the edges of the float range. svd2 rejects an operator
+    whose largest entry modulus is below ZERO_OPERATOR_TOL / 2 before it
+    scales the entries by 2^-e (sigma1 <= 2 max |m_ij|), so that scale is a
+    finite power of two, from 2^-1024 to 2^47. Each other case pins its
+    exception, or the bits of kappa, lam, u and v, signed zeros included."""
+
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_subnormal_entries_are_zero(self, tiny):
+        for m in (np.full((2, 2), tiny), [[tiny, 0.0], [0.0, 0.0]],
+                  [[0.0, 1j * tiny], [tiny, 0.0]]):
+            for fn in (svd2, MeasurementOperator):
+                with pytest.raises(ZeroOperatorError, match="^operator is numerically zero$"):
+                    fn(m)
+
+    @pytest.mark.parametrize("big, zero", [
+        (0.49 * ZERO_OPERATOR_TOL, True),  # below the early test
+        (0.5 * ZERO_OPERATOR_TOL, True),  # kappa = 5e-15: caught after the factorization
+        (0.99 * ZERO_OPERATOR_TOL, True),
+        (ZERO_OPERATOR_TOL, False),
+    ])
+    def test_zero_threshold(self, big, zero):
+        m = [[big, 0.0], [0.0, 0.3 * big]]
+        if zero:
+            with pytest.raises(ZeroOperatorError, match="^operator is numerically zero$"):
+                svd2(m)
+        else:
+            assert svd2(m).kappa == big
+
+    @pytest.mark.parametrize("huge", [1e300, 1.7e308])
+    def test_huge_entries_exceed_the_norm(self, huge):
+        for m in ([[huge, 0.0], [0.0, 0.5]], [[0.0, huge], [0.5j, 0.0]]):
+            with pytest.raises(InvalidStrengthError, match="exceeds 1$"):
+                MeasurementOperator(m)
+        with pytest.raises(InvalidStrengthError, match="exceeds 1$"):
+            MeasurementOperator(np.full((2, 2), 1e300))
+        with pytest.raises(FormatError, match="^largest singular value exceeds the float range$"):
+            MeasurementOperator(np.full((2, 2), 1.7e308))
+
+    @staticmethod
+    def assert_bits(r, kappa, lam, u, v):
+        assert (r.kappa.hex(), r.lam.hex()) == (kappa, lam)
+        for got, want in ((r.u, u), (r.v, v)):
+            assert got.tobytes() == np.array([complex(*z) for z in want]).tobytes()
+
+    def test_subnormal_entry_beside_normal_ones(self):
+        self.assert_bits(
+            svd2([[0.9, 0.0], [1e-320, 0.3]]), "0x1.ccccccccccccdp-1", "0x1.5555555555555p-2",
+            [(1.0, 0.0), (-1.25e-320, 0.0), (1.25e-320, 0.0), (1.0, 0.0)],
+            [(1.0, 0.0), (4.165e-321, 0.0), (-4.165e-321, 0.0), (1.0, 0.0)],
+        )
+
+    def test_largest_entries_scale_to_subnormals(self):
+        """2^-1024 scales 1.7e308 to 0.94 and 0.5 to a subnormal; lam keeps
+        the bits that a subnormal sigma2 has."""
+        self.assert_bits(
+            svd2([[1.7e308, 0.0], [0.0, 0.5]]), "0x1.e42d130773b76p+1023",
+            "0x0.21d6c4171083ep-1022",
+            [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)],
+            [(1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (1.0, 0.0)],
+        )
+
+    def test_scale_keeps_signed_zeros(self):
+        """Each part is scaled on its own, complex(x.real * s, x.imag * s),
+        with ldexp's bits; the complex product x * s would turn the -0.0 of
+        (-0.0, -0.0) into +0.0 and move a zero of v."""
+        self.assert_bits(
+            svd2([[0.7, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.2]]),
+            "0x1.6666666666666p-1", "0x1.2492492492493p-2",
+            [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)],
+            [(1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (1.0, 0.0)],
+        )
+        self.assert_bits(
+            svd2([[1e-300j, 0.0], [0.0, 1e-14]]), "0x1.6849b86a12b9bp-47",
+            "0x1.e74404f3daadbp-951",
+            [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (-0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -0.0)],
+        )
 
 
 def svd2_reference(m):
@@ -551,3 +638,46 @@ def test_svd2_power_of_two_scale_keeps_factors_property(entries, k):
     assert s.lam == pytest.approx(r.lam, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(s.u, r.u, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(s.v, r.v, rtol=1e-12, atol=1e-12)
+
+
+class TestRecords:
+    """A record that checks nothing at construction is a NamedTuple: its
+    fields cannot be set, and it compares and hashes by value. A record
+    with checks (PureState, MeasurementSet) stays a frozen dataclass."""
+
+    RECORDS = {
+        "Estimate": dict(value=0.25, std_error=0.01, samples=2000, method="monte-carlo"),
+        "Svd2Result": dict(kappa=0.9, lam=0.5, u=HADAMARD, v=X),
+        "Su2Params": dict(alpha=0.1, beta=-0.2, gamma=0.3, delta=0.4),
+    }
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_contract(self, name):
+        cls, fields = getattr(qmtradeoff, name), self.RECORDS[name]
+        rec = cls(**fields)
+        assert rec._fields[:len(fields)] == tuple(fields)
+        assert rec == cls(*fields.values())
+        for key in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, key, 0.0)
+        assert [getattr(rec, key) for key in fields] == list(fields.values())
+        if name != "Svd2Result":  # an ndarray field has no hash
+            assert hash(rec) == hash(cls(*fields.values()))
+            assert rec != cls(**dict(fields, **{next(iter(fields)): 0.5}))
+
+    def test_jackknife_error_defaults_to_none(self):
+        est = qmtradeoff.Estimate(0.25, 0.0, 6, "quadrature")
+        assert est.std_error_jackknife is None
+        assert est == qmtradeoff.Estimate(0.25, 0.0, 6, "quadrature", None)
+
+    @pytest.mark.parametrize("name", [
+        "Estimate", "Svd2Result", "Su2Params", "TradeoffRecord", "AveragedQuantities",
+        "ReversingMeasurement", "ReversalStats",
+    ])
+    def test_check_free_records_are_tuples(self, name):
+        assert issubclass(getattr(qmtradeoff, name), tuple)
+
+    @pytest.mark.parametrize("name", ["PureState", "MeasurementSet"])
+    def test_checked_records_are_dataclasses(self, name):
+        cls = getattr(qmtradeoff, name)
+        assert dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)

@@ -751,13 +751,24 @@ class TestInPlaceArithmetic:
     the nearer to the exact one (TestBatchMoments)."""
 
     def test_xlog2x_matches_where_form(self):
-        q = np.concatenate((np.random.default_rng(3).uniform(-0.5, 1.5, 1000),
-                            [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, np.inf, -np.inf, np.nan]))
-        expected = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
-        x = np.empty((2, q.size))
-        x[0] = q
-        assert oracle._information_rows(x) is x
-        assert x[0].tobytes() == q.tobytes() and x[1].tobytes() == expected.tobytes()
+        """Bit for bit the where-form, whichever guards the least q runs:
+        both (some q <= 0, or a NaN), neither (every q >= 1e-300), or the
+        clamp alone (every q in (0, 1e-300))."""
+        rng = np.random.default_rng(3)
+        positive = rng.uniform(0.1, 1.5, 1000)
+        for q in (
+            np.concatenate((rng.uniform(-0.5, 1.5, 1000),
+                            [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, np.inf, -np.inf, np.nan])),
+            np.concatenate((rng.uniform(1e-300, 1.5, 1000), [1e-300, np.inf])),
+            np.concatenate((rng.uniform(0.0, 1e-300, 1000), [5e-324, 1e-310])),
+            np.insert(positive, 500, np.nan),
+            np.insert(positive, 500, -0.0),
+        ):
+            expected = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300)), 0.0)
+            x = np.empty((2, q.size))
+            x[0] = q
+            assert oracle._information_rows(x) is x
+            assert x[0].tobytes() == q.tobytes() and x[1].tobytes() == expected.tobytes()
 
     @staticmethod
     def cases(n):
