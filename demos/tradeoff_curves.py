@@ -8,7 +8,8 @@ how the two efficiencies pull in opposite directions in between.
 
 Same data as `qmtradeoff sweep --points 11`; here with commentary. Then
 the same curves as functions of the information I, against what they say
-about a whole measurement (tests/test_relations.py checks both relations).
+about a whole measurement, and fidelity against reversibility, a circle
+(tests/test_relations.py checks all three relations).
 """
 
 import math
@@ -68,6 +69,21 @@ print()
 print("{sqrt(1/2) I, sqrt(1/2) |0><0|, sqrt(1/2) |1><1|}:")
 print(f"  I_avg {avg.info:.4f}, F_avg {avg.fidelity:.4f}, R_avg {avg.reversibility:.4f}"
       f" on the chord {chord:.4f}")
+print()
+
+# Fidelity against reversibility: 3 F_opt - 2 = 2 lam / (1 + lam^2) and
+# 1 - R = (1 - lam^2) / (1 + lam^2), so each outcome lies on a circle, and
+# its concave arc F = 2/3 + sqrt(R (2 - R)) / 3 bounds every complete set.
+residual = max(
+    abs((3.0 * r.fidelity_opt - 2.0) ** 2 + (1.0 - r.reversibility) ** 2 - 1.0)
+    for r in map(tradeoff_record, grid)
+)
+assert residual <= 2e-15
+arc = 2.0 / 3.0 + math.sqrt(avg.reversibility * (2.0 - avg.reversibility)) / 3.0
+assert avg.fidelity < arc
+print(f"(3 F_opt - 2)^2 + (1 - R)^2 = 1 on the grid, to {residual:.1e}.")
+print(f"The set above: F_avg {avg.fidelity:.4f} under the arc's {arc:.4f} at its R_avg:")
+print("the set that meets the reversibility chord is far from the fidelity bound.")
 print()
 print("To plot, pipe the CLI's CSV into any plotter, e.g.:")
 print("  qmtradeoff sweep --points 200 --output curve.csv")

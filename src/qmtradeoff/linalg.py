@@ -185,7 +185,10 @@ def svd2(m) -> Svd2Result:
       entry, so rounding the input, e.g. by scaling it, cannot move it.
     """
     flat = _entries(m)
-    big = max(map(abs, flat))
+    try:
+        big = max(map(abs, flat))
+    except OverflowError:  # some |m_ij| exceeds the float range, and sigma1 >= |m_ij|
+        raise FormatError("largest singular value exceeds the float range") from None
     if big < 0.5 * ZERO_OPERATOR_TOL:  # sigma1 <= 2 max |m_ij|: zero before any scaling
         raise ZeroOperatorError("operator is numerically zero")
     e = math.frexp(big)[1]

@@ -19,13 +19,14 @@ Conventions shared by both routes:
 * q and |c . (1, r)|^2 are linear in x = (1, r, r_i r_j for i <= j), so
   the fidelity and the reversibility are each one pair of coefficient rows,
   ``coef``, and zbar / qbar of ``coef @ mean`` of x; the routes differ only
-  in that mean: the sphere's exact ``_SPHERE_MEAN``, or that of a ``Batch``
-  of states. An operator's rows (``_q_coef``, ``_fidelity_coef``,
-  ``_reversibility_coef``) are built once, for the last operator seen, and
-  are read-only, as all of its oracle calls share them; an operator hashes
-  by identity and cannot change. ``verify`` hands one batch to every
-  estimator at every lam, so one unlucky batch fails a band of lam together
-  (README, *Numerical notes*, gives the rate);
+  in that mean: the sphere's exact ``_SPHERE_MEAN``, or the one that a
+  ``Batch`` builds of its states when it is made. An operator's rows
+  (``_q_coef``, ``_fidelity_coef``, ``_reversibility_coef``) are built
+  once, for the last operator seen, and are read-only, as all of its oracle
+  calls share them; an operator hashes by identity and cannot change.
+  ``verify`` hands one batch to every estimator at every lam, so one
+  unlucky batch fails a band of lam together (README, *Numerical notes*,
+  gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
   or node, each filling the same rows (q, q log2 q) in place, q log2 q from
   q; the clamp of q at 1e-300 and the zeroing where q <= 0 run only where
@@ -34,14 +35,16 @@ Conventions shared by both routes:
   2 lam^2 beyond u = -1, where q log q is not analytic, so the rule is
   mapped onto subintervals graded toward u = -1, as many as lam needs down
   to lam = 0, each rule built once and shared;
-* every Monte Carlo estimator reads one input, a ``Batch``, which checks
-  its states once, on first use: shape (3, n) with n >= 2, finite entries
-  and memory that cannot be written, before any arithmetic;
+* every Monte Carlo estimator reads one input, a ``Batch``: a checked value
+  that owns its states, a read-only (3, n) array that no caller holds
+  (``Batch(r)`` copies r; ``sample_bloch_vectors`` hands over the buffer it
+  filled), real, with n >= 2 and finite entries, checked when the batch is
+  made and before any arithmetic;
 * one routine, ``_moments``, forms the sample mean, covariance and
   leave-one-block-out means of x (see ``Estimate``), one chunk up to
-  ``_CHUNK`` states and a jackknife block at a time above: for a ``Batch``
-  on its first use, and for each information estimate from its rows, which
-  need no ``coef``.
+  ``_CHUNK`` states and a jackknife block at a time above: once for a
+  ``Batch``, when it is made, and for each information estimate from its
+  rows, which need no ``coef``.
 """
 
 from __future__ import annotations
@@ -91,45 +94,43 @@ class Estimate(NamedTuple):
     std_error_jackknife: Optional[float] = None
 
 
-class Batch(np.ndarray):
-    """``(3, n)`` Bloch vectors r, n >= 2, the one input of every Monte Carlo
-    estimator; ``r.view(Batch)`` makes one of a read-only array without a
-    copy. Its states are checked once, on first use, and must not change
-    after it, so the batch and every array whose memory it views must be
-    read-only (``r.setflags(write=False)`` before the view).
-    Its ``moments``, all that the fidelity and reversibility read, are
-    ``_moments`` of x = ``_monomials(r)``, built on first use; a slice of a
-    batch is a batch of its own columns."""
+class Batch:
+    """``(3, n)`` real Bloch vectors r, n >= 2, the one input of every Monte
+    Carlo estimator, and their moments. ``Batch(r)`` copies r once, as
+    floats, into a read-only array that no caller holds, and checks it as
+    ``_own`` does. Its states and its ``_moments`` of x = ``_monomials(r)``,
+    all that the fidelity and reversibility read, sit in private slots and
+    are built here, once, so nothing that a caller holds can change them. A
+    batch is no array: ``b * 2`` and ``b[:, :5]`` raise TypeError."""
 
-    @functools.cached_property
-    def _size(self) -> int:
-        """n, once the shape is (3, n) with n >= 2, every row's sum of
-        squares is finite (no NaN or infinite entry, none whose square
-        overflows), by one dot per row and no copy, and no array along the
-        ``.base`` chain from the batch is writable; else DomainError, in
-        that order."""
-        if self.ndim != 2 or self.shape[0] != 3 or self.shape[1] < 2:
-            raise DomainError(f"need Bloch vectors of shape (3, n >= 2), got {self.shape}")
-        if not all(math.isfinite(row.dot(row)) for row in self):
-            raise DomainError("Bloch vectors must be finite")
-        a = self
-        while isinstance(a, np.ndarray):  # the batch, then each array whose memory it views
-            if a.flags.writeable:
-                raise DomainError("a Batch and every array it views must be read-only")
-            a = a.base
-        return self.shape[1]
+    __slots__ = ("_r", "_moments")
 
-    @functools.cached_property
-    def moments(self) -> tuple:
-        return _moments(self, _monomials)
+    def __init__(self, r) -> None:
+        _own(self, np.asarray(r), copy=True)
+
+
+def _own(batch: Batch, r: np.ndarray, copy: bool) -> Batch:
+    """Gives ``batch`` the states r, copied as floats where ``copy``, and
+    their moments, once r has shape (3, n) with n >= 2 and a real dtype
+    (checked before any cast could warn or drop an imaginary part) and every
+    row's sum of squares is finite (no NaN or infinite entry, none whose
+    square overflows), by one dot per row; else DomainError, in that order."""
+    if r.ndim != 2 or r.shape[0] != 3 or r.shape[1] < 2 or r.dtype.kind not in "iuf":
+        raise DomainError(f"need real Bloch vectors of shape (3, n >= 2), got {r.dtype} {r.shape}")
+    r = r.astype(float, copy=copy)
+    if not all(math.isfinite(row.dot(row)) for row in r):
+        raise DomainError("Bloch vectors must be finite")
+    batch._r, batch._moments = _read_only(r)[0], _moments(r, _monomials)
+    return batch
 
 
 def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
     """Draw ``n`` uniform Bloch-sphere states as the columns of a ``(3, n)``
     :class:`Batch` of Bloch vectors, with u = cos θ uniform on [-1, 1] and
-    phi on [0, 2 pi), in a buffer made read-only before it is viewed. n is
-    an integer from 2 to 2**53, the counts that a float holds exactly;
-    DomainError otherwise."""
+    phi on [0, 2 pi). The batch owns the buffer that the draw fills, with no
+    copy, and builds its moments once u and phi are freed. n is an integer
+    from 2 to 2**53, the counts that a float holds exactly; DomainError
+    otherwise."""
     _check_count(n, 2, "samples")
     r = np.empty((3, n))
     u = rng.uniform(-1.0, 1.0, size=n)
@@ -138,7 +139,8 @@ def sample_bloch_vectors(rng: np.random.Generator, n: int) -> Batch:
     np.multiply(np.cos(phi, out=r[0]), s, out=r[0])
     np.multiply(np.sin(phi, out=r[1]), s, out=r[1])
     r[2] = u
-    return _read_only(r)[0].view(Batch)
+    del u, phi, s
+    return _own(Batch.__new__(Batch), r, copy=False)
 
 
 def _monomials(r: np.ndarray) -> np.ndarray:
@@ -147,14 +149,14 @@ def _monomials(r: np.ndarray) -> np.ndarray:
     return x[_PAIRS[0]] * x[_PAIRS[1]]
 
 
-def _moments(r: Batch, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
+def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """Mean, covariance and leave-one-block-out means (a column per jackknife
     block) of x = ``rows(r[:, lo:hi])``, and n, over the chunks lo to hi of
     ``_jackknife_blocks``. Per chunk, one ``reduceat`` for the block sums and
     one ``dot`` for the cross products about the first chunk's mean, moved to
-    the batch mean at the end (Chan, Golub & LeVeque). n is the batch's
-    checked size, so ``rows`` never sees a malformed or non-finite state."""
-    n = r._size
+    the batch mean at the end (Chan, Golub & LeVeque). r is a batch's checked
+    states, so ``rows`` never sees a malformed or non-finite state."""
+    n = r.shape[1]
     chunks, kept = _jackknife_blocks(n, _CHUNK)
     dev = 0.0
     for lo, hi, starts, cols in chunks:
@@ -301,7 +303,8 @@ def estimate_information(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean information gain, in bits, over a
     :class:`Batch` of states.
 
-    Averages q and q*log2(q) over the states and combines them through
+    Averages q and q*log2(q) over the batch's checked states, whose
+    ``_moments`` it forms from these two rows, and combines them through
     the defining functional ``[avg(q log2 q) - qbar log2 qbar] / qbar``,
     which is invariant under rescaling of q.
     """
@@ -313,29 +316,31 @@ def estimate_information(op: MeasurementOperator, batch: Batch) -> Estimate:
         x[0] += coef[0]
         return _information_rows(x)
 
-    return _ratio_estimate(None, _moments(batch, rows))
+    return _ratio_estimate(None, _moments(batch._r, rows))
 
 
 def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean fidelity of one outcome over a
     :class:`Batch` of states: the ratio of the batch means of
     ``|<psi| u D |psi>|^2`` and of q, each ``coef @ mean`` of x as in
-    ``quadrature_fidelity``. Uses the canonical left factor, matching the
-    single-outcome relabeling convention."""
-    return _ratio_estimate(_fidelity_coef(op), batch.moments)
+    ``quadrature_fidelity``, from the moments that the batch built when it
+    was made. Uses the canonical left factor, matching the single-outcome
+    relabeling convention."""
+    return _ratio_estimate(_fidelity_coef(op), batch._moments)
 
 
 def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean reversal success probability,
     ``lam^2 / qbar``, over a :class:`Batch` of states: zbar / qbar of
-    ``_reversibility_coef``, as in ``quadrature_reversibility``.
+    ``_reversibility_coef``, as in ``quadrature_reversibility``, from the
+    moments that the batch built when it was made.
 
     Raises
     ------
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to estimate.
     """
-    return _ratio_estimate(_reversibility_coef(op), batch.moments)
+    return _ratio_estimate(_reversibility_coef(op), batch._moments)
 
 
 @functools.lru_cache

@@ -320,15 +320,14 @@ class TestRecordsAndTotals:
             assert probs == pytest.approx((p0, 1.0 - p0), abs=1e-15)
 
     def test_total_probability_matches_sphere_average(self):
-        """kappa^2 qbar really is the sphere-averaged outcome probability."""
-        from qmtradeoff.oracle import sample_bloch_vectors
-
+        """kappa^2 qbar really is the sphere-averaged outcome probability,
+        over states with cos(theta) and phi uniform."""
         op = MeasurementOperator(0.8 * np.diag([1.0, 0.5]))
-        r = sample_bloch_vectors(np.random.default_rng(73), 200_000)
-        u, phi = r[2], np.arctan2(r[1], r[0])
+        rng = np.random.default_rng(73)
+        u, phi = rng.uniform(-1.0, 1.0, 20_000), rng.uniform(-np.pi, np.pi, 20_000)
         probs = [
             outcome_probability(op, PureState(theta=t, phi=f))
-            for t, f in zip(np.arccos(u[:20_000]), phi[:20_000])
+            for t, f in zip(np.arccos(u), phi)
         ]
         mean = float(np.mean(probs))
         se = float(np.std(probs, ddof=1)) / np.sqrt(len(probs))

@@ -409,10 +409,11 @@ class TestVerify:
     def test_one_batch_per_run(self, capsys, monkeypatch):
         """verify draws one batch of --samples states per run and hands that
         same batch to every Monte Carlo check on the grid."""
-        draws, seen = [], []
+        draws, sizes, seen = [], [], []
         sample = cli.oracle.sample_bloch_vectors
 
         def counting(rng, n):
+            sizes.append(n)
             draws.append(sample(rng, n))
             return draws[-1]
 
@@ -428,7 +429,7 @@ class TestVerify:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(draws) == 1
-        assert draws[0].shape == (3, 2000)
+        assert sizes == [2000]
         # Reversibility is skipped at lambda = 0: 2 + 3 + 3 checks.
         assert len(seen) == 2 + 3 + 3
         assert all(r is draws[0] for r in seen)
@@ -764,6 +765,16 @@ def test_integer_beyond_float_range_is_format_error(capsys, tmp_path, command):
     path.write_text(matrix if command == "analyze" else '{"operators": [' + matrix + "]}")
     code, out, err = run(capsys, command, str(path))
     assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "average"])
+def test_entry_modulus_beyond_float_range_is_format_error(capsys, tmp_path, command):
+    """1.7e308 + 1.7e308j has finite parts and a modulus that overflows."""
+    matrix = "[[[1.7e308, 1.7e308], [0, 0]], [[0, 0], [0, 0]]]"
+    path = tmp_path / "input.json"
+    path.write_text(matrix if command == "analyze" else '{"operators": [' + matrix + "]}")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", "error: largest singular value exceeds the float range\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "average"])

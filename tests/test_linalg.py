@@ -209,6 +209,20 @@ class TestFloatRangeEdges:
         with pytest.raises(FormatError, match="^largest singular value exceeds the float range$"):
             MeasurementOperator(np.full((2, 2), 1.7e308))
 
+    @pytest.mark.parametrize("m", [
+        [[1.7e308 + 1.7e308j, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [1e-300, -1.3e308 + 1.3e308j]],
+        [[1e308, 1.7e308 - 1.7e308j], [0.5, 0.25j]],
+    ])
+    def test_entry_modulus_overflow_rejected(self, m):
+        """An entry whose modulus overflows, although both its parts are
+        finite, means sigma1 >= |m_ij| exceeds the float range: the
+        FormatError that _kappa raises for a sigma1 that overflows, not
+        Python's OverflowError from abs."""
+        for fn in (svd2, MeasurementOperator):
+            with pytest.raises(FormatError, match="^largest singular value exceeds the float"):
+                fn(m)
+
     @staticmethod
     def assert_bits(r, kappa, lam, u, v):
         assert (r.kappa.hex(), r.lam.hex()) == (kappa, lam)

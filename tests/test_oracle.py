@@ -6,7 +6,6 @@ target.
 """
 
 import ast
-import functools
 import json
 import math
 import os
@@ -53,6 +52,11 @@ def bloch(seed, n):
     return sample_bloch_vectors(np.random.default_rng(seed), n)
 
 
+def states(batch):
+    """A batch's read-only (3, n) states: the one place the tests read them."""
+    return batch._r
+
+
 def outcome_q(op, r):
     """q = g0 + g . r at each column of r, as estimate_information forms it."""
     coef = _q_coef(op)
@@ -83,7 +87,7 @@ class TestSampler:
     def test_cos_theta_uniform(self):
         rng = np.random.default_rng(314)
         n = 200_000
-        u, phi = polar(sample_bloch_vectors(rng, n))
+        u, phi = polar(states(sample_bloch_vectors(rng, n)))
         # mean of U(-1, 1) has sd 1/sqrt(3n)
         assert abs(u.mean()) < 3.0 / np.sqrt(3.0 * n)
         assert abs(phi.mean() - np.pi) < 3.0 * np.pi / np.sqrt(3.0 * n)
@@ -93,7 +97,7 @@ class TestSampler:
         """Each z-hemisphere and each phi quadrant should get its share."""
         rng = np.random.default_rng(315)
         n = 80_000
-        u, phi = polar(sample_bloch_vectors(rng, n))
+        u, phi = polar(states(sample_bloch_vectors(rng, n)))
         north = np.count_nonzero(u > 0)
         assert abs(north - n / 2) < 3.0 * np.sqrt(n * 0.25)
         for k in range(4):
@@ -107,7 +111,7 @@ class TestSampler:
         uniform sphere measure; its sd is 1/sqrt(12)."""
         rng = np.random.default_rng(317)
         n = 200_000
-        u = sample_bloch_vectors(rng, n)[2]
+        u = states(sample_bloch_vectors(rng, n))[2]
         mean = float(np.mean(0.5 * (1.0 + u)))
         assert abs(mean - 0.5) < 3.0 / np.sqrt(12.0 * n)
 
@@ -116,9 +120,8 @@ class TestSampler:
             sample_bloch_vectors(np.random.default_rng(1), 0)
         with pytest.raises(DomainError, match="got int$"):
             sample_bloch_vectors(np.random.default_rng(1), -10**5000)
-        for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
-            with pytest.raises(DomainError):
-                estimator(diag_op(0.5), bloch(1, 2)[:, :1])
+        with pytest.raises(DomainError, match="shape"):
+            oracle.Batch(states(bloch(1, 2))[:, :1])
 
     @pytest.mark.parametrize("n", [True, np.True_, 2.0, "2"])
     def test_sample_count_must_be_an_integer(self, n):
@@ -130,7 +133,7 @@ class TestSampler:
         rng = np.random.default_rng(n)
         u = rng.uniform(-1.0, 1.0, size=n)
         expected = bloch_vectors_reference(u, rng.uniform(0.0, 2.0 * np.pi, size=n))
-        got = sample_bloch_vectors(np.random.default_rng(n), n)
+        got = states(sample_bloch_vectors(np.random.default_rng(n), n))
         assert got.shape == expected.shape == (3, n)
         assert got.tobytes() == expected.tobytes()
 
@@ -138,7 +141,7 @@ class TestSampler:
         """Every column is a unit vector, and each component of a uniform
         unit vector has mean 0 and variance 1/3."""
         n = 200_000
-        r = bloch(316, n)
+        r = states(bloch(316, n))
         assert r.shape == (3, n)
         assert np.max(np.abs(np.linalg.norm(r, axis=0) - 1.0)) <= 1e-15
         assert np.all(np.abs(r.mean(axis=1)) < 4.0 / np.sqrt(3.0 * n))
@@ -207,7 +210,7 @@ class TestPauliIntegrands:
         the NumPy product M†M / kappa^2, to 1e-15 of the batch's largest q."""
         sigma = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
         rng = np.random.default_rng(42)
-        r = bloch(43, 1000)
+        r = states(bloch(43, 1000))
         for op in self.operators(rng, 300):
             assert np.max(np.abs(op.canonical.v - np.eye(2))) > 1e-6
             gram = op.matrix.conj().T @ op.matrix / op.kappa**2
@@ -284,8 +287,7 @@ class TestDegenerateSample:
     def test_vanishing_q_raises(self, n, estimate):
         r = np.zeros((3, n))
         r[2] = -1.0
-        r.setflags(write=False)
-        batch = r.view(oracle.Batch)
+        batch = oracle.Batch(r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSampleError, match="not positive"):
@@ -427,14 +429,14 @@ class TestJackknife:
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_information_matches_loop(self, n):
         est = estimate_information(self.OP, bloch(n, n))
-        y = outcome_q(self.OP, bloch(n, n))
+        y = outcome_q(self.OP, states(bloch(n, n)))
         expected = loop_jackknife((y, y * np.log2(y)), lambda ym, zm: zm / ym - np.log2(ym))
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2000, 2001, 57])
     def test_reversibility_matches_loop(self, n):
         est = estimate_reversibility(self.OP, bloch(n, n))
-        y = outcome_q(self.OP, bloch(n, n))
+        y = outcome_q(self.OP, states(bloch(n, n)))
         lam2 = self.OP.lam**2
         expected = loop_jackknife((y,), lambda ym: lam2 / ym)
         assert est.std_error_jackknife == pytest.approx(expected, rel=1e-12)
@@ -448,7 +450,7 @@ class TestJackknife:
         gradient projected onto x. TestBatchMoments shows that the moment
         form is the nearer of the two to the exact value."""
         op, lam2 = self.OP, self.OP.lam * self.OP.lam
-        r = bloch(n, n)
+        r = states(bloch(n, n))
         u, y = r[2], outcome_q(op, r)
         z = np.where(y > 0.0, y * np.log2(np.maximum(y, 1e-300)), 0.0)
         q = 0.5 * ((1.0 + lam2) + u * (1.0 - lam2))
@@ -485,9 +487,9 @@ class TestBatchMoments:
     def test_blockwise_moments_match_numpy(self, n):
         """Below 200 samples some blocks hold a single sample."""
         batch = bloch(n, n)
-        mean, cov, loo, count = batch.moments
-        x = _monomials(batch)
-        assert x.shape == (10, n) and count == n and not batch.flags.writeable
+        mean, cov, loo, count = batch._moments
+        x = _monomials(states(batch))
+        assert x.shape == (10, n) and count == n and not states(batch).flags.writeable
         assert np.max(np.abs(mean - np.mean(x, axis=1))) <= 4e-15
         assert np.max(np.abs(cov - np.cov(x))) <= 4e-15
         blocks = np.array_split(np.arange(n), min(100, n))
@@ -503,29 +505,39 @@ class TestBatchMoments:
         self.test_blockwise_moments_match_numpy(n)
 
     def test_moments_are_built_once_per_batch(self, monkeypatch):
-        """On first use, not at the draw; a second estimate reuses them.
-        A slice is a batch of its own columns, with moments of its own."""
-        calls = []
+        """When the batch is made, by the draw or by Batch(r), in one chunk
+        of 2000 states, and never again: every fidelity and reversibility
+        estimate at every lam reads the very tuple that the batch holds."""
+        calls, seen = [], []
+        ratio = oracle._ratio_estimate
+
+        def recording(coef, moments):
+            seen.append(moments)
+            return ratio(coef, moments)
+
         monkeypatch.setattr(oracle, "_monomials", lambda r: calls.append(1) or _monomials(r))
-        batch, op = bloch(5, 2000), diag_op(0.5)
-        assert not calls
-        first = estimate_fidelity(op, batch)
-        built = len(calls)
-        assert built and estimate_fidelity(op, batch) == first and len(calls) == built
-        estimate_reversibility(op, batch)
-        assert len(calls) == built
-        assert batch[:, :100].moments[3] == 100 and len(calls) > built
+        monkeypatch.setattr(oracle, "_ratio_estimate", recording)
+        drawn = bloch(5, 2000)
+        assert len(calls) == 1
+        copied = oracle.Batch(states(drawn))
+        assert len(calls) == 2
+        for batch in (drawn, copied):
+            seen.clear()
+            for lam in (0.2, 0.5, 0.9):
+                first = estimate_fidelity(diag_op(lam), batch)
+                assert estimate_fidelity(diag_op(lam), batch) == first
+                estimate_reversibility(diag_op(lam), batch)
+            assert len(seen) == 9 and all(m is batch._moments for m in seen)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("k", [2, 57, 1000])
     def test_slice_matches_copied_batch(self, k):
-        """A column slice of a batch estimates as a fresh batch of the same
-        columns does."""
-        batch, op = bloch(6, 2000), diag_op(0.3)
-        copy = np.array(batch[:, :k])
-        copy.setflags(write=False)
-        copy = copy.view(oracle.Batch)
-        for estimator in (estimate_fidelity, estimate_reversibility):
-            assert estimator(op, batch[:, :k]) == estimator(op, copy), estimator.__name__
+        """A batch of a column slice of some states, a strided view,
+        estimates as a batch of a contiguous copy of those columns does."""
+        r, op = states(bloch(6, 2000)), diag_op(0.3)
+        view, copy = oracle.Batch(r[:, :k]), oracle.Batch(np.ascontiguousarray(r[:, :k]))
+        for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
+            assert estimator(op, view) == estimator(op, copy), estimator.__name__
 
     MP = mpmath.MPContext()
     MP.dps = 40
@@ -549,7 +561,7 @@ class TestBatchMoments:
         eps / (1 - lam)^2 there, and the moment form does not."""
         mpf = self.MP.mpf
         batch = bloch(17, 2000)
-        r = [[mpf(v) for v in row] for row in batch.tolist()]
+        r = [[mpf(v) for v in row] for row in states(batch).tolist()]
         rotation = su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0))
         for op in (diag_op(lam), MeasurementOperator(rotation @ np.diag([1.0, lam]))):
             lam2 = mpf(op.lam) ** 2
@@ -595,8 +607,6 @@ class TestChunkTable:
     @pytest.mark.parametrize("n", SIZES)
     def test_moments_read_each_chunk_once(self, n):
         r = np.random.default_rng(n).uniform(-1.0, 1.0, (3, n))
-        r.setflags(write=False)
-        r = r.view(oracle.Batch)
         spans = []
 
         def rows(chunk):
@@ -611,87 +621,77 @@ class TestChunkTable:
 
 
 class TestNonFiniteStates:
-    """A NaN or an infinity in any row of r makes every Monte Carlo
-    estimator raise DomainError before NumPy warns, in the first chunk or
-    in a later one."""
-
-    OPS = (diag_op(0.5), MeasurementOperator(su2_matrix(Su2Params(0.3, -1.1, 0.7, 2.0))
-                                             @ np.diag([0.9, 0.35])))
+    """A NaN or an infinity in any row of r makes Batch(r) itself raise
+    DomainError, before NumPy warns and before any moment is formed, so no
+    estimator ever reads it, whichever chunk of the moments it would fall in."""
 
     @pytest.mark.parametrize("chunk", [oracle._CHUNK, 16])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejected(self, monkeypatch, chunk, value):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
         n = 57
+        drawn = states(bloch(8, n))
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        monkeypatch.setattr(oracle, "_monomials", lambda r: pytest.fail("moments formed"))
         for row in range(3):
             for column in (0, n - 1):
-                r = np.array(bloch(8, n))
+                r = np.array(drawn)
                 r[row, column] = value
-                for op in self.OPS:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        for estimator in (estimate_information, estimate_fidelity,
-                                          estimate_reversibility):
-                            with pytest.raises(DomainError, match="finite"):
-                                estimator(op, r.view(oracle.Batch))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DomainError, match="finite"):
+                        oracle.Batch(r)
 
 
 class TestBatchInput:
-    """A Batch is the one input of every Monte Carlo estimator. It checks its
-    shape and its states once, on first use, and no estimator reads a batch
-    that fails the check."""
+    """A Batch is the one input of every Monte Carlo estimator: a checked
+    value that owns its states and their moments. It checks its input when
+    it is made, so no estimator can be handed states that fail the check,
+    and nothing its caller holds can change it afterwards."""
 
     ESTIMATORS = (estimate_information, estimate_fidelity, estimate_reversibility)
 
-    @pytest.mark.parametrize("shape", [(4, 57), (2, 57), (3, 57, 1), (3, 1), (3,)])
+    @pytest.mark.parametrize("shape", [(4, 57), (2, 57), (3, 57, 1), (3, 1), (3,), (3, 57)])
     def test_malformed_batches_rejected(self, shape):
-        """Among them a (4, n) batch: no estimator may read its first three
-        rows and ignore the fourth."""
+        """Among them a (4, n) batch, whose first three rows no estimator may
+        read alone, and complex states of the right shape, which no cast may
+        make real, with a warning or by dropping their imaginary part:
+        DomainError from Batch itself, before any moment is formed."""
         r = np.random.default_rng(1).uniform(-0.5, 0.5, shape)
-        for estimator in self.ESTIMATORS:
+        if shape == (3, 57):  # the right shape, with complex states
+            r = r + 1j * r
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DomainError, match="shape"):
-                estimator(diag_op(0.5), r.view(oracle.Batch))
+                oracle.Batch(r)
 
-    def test_states_checked_once_per_batch(self, monkeypatch):
-        """Three estimators at 11 lam on one batch, as verify runs them: one
-        check in all. A slice is a batch of its own, checked on its own."""
-        checks = []
-        check = oracle.Batch._size.func
-
-        def counting(batch):
-            checks.append(batch.shape)
-            return check(batch)
-
-        counted = functools.cached_property(counting)
-        counted.__set_name__(oracle.Batch, "_size")
-        monkeypatch.setattr(oracle.Batch, "_size", counted)
-        batch = bloch(11, 2000)
-        for lam in np.linspace(0.05, 1.0, 11):
-            for estimator in self.ESTIMATORS:
-                estimator(diag_op(lam), batch)
-        assert checks == [(3, 2000)]
-        estimate_information(diag_op(0.5), batch[:, :1000])
-        assert checks == [(3, 2000), (3, 1000)]
-
-    def test_writable_states_rejected(self):
-        """A batch whose memory can still be written could change after its
-        moments are cached. So a writable copy of a drawn batch, before and
-        after a NaN is written into it, and a read-only view of a writable
-        array raise DomainError in every estimator; a drawn batch and its
-        buffer are read-only."""
+    def test_caller_writes_do_not_reach_the_batch(self):
+        """Batch(r) copies r, so writing into r, the NaN that left the
+        fidelity stale and the information NaN when a batch viewed r, leaves
+        all three estimates bit for bit; a drawn batch's states are
+        read-only, and no public attribute of a batch is an array."""
+        r = np.array(states(bloch(12, 1000)))
+        batch, op = oracle.Batch(r), diag_op(0.5)
+        before = [estimator(op, batch) for estimator in self.ESTIMATORS]
+        r[2] = np.nan
+        r[:2] = 0.0
+        assert [estimator(op, batch) for estimator in self.ESTIMATORS] == before
+        assert not states(batch).flags.writeable and states(batch) is not r
         drawn = bloch(12, 1000)
-        assert not drawn.flags.writeable and not drawn.base.flags.writeable
-        writable = np.array(drawn).view(oracle.Batch)
-        view = np.array(drawn).view(oracle.Batch)
-        view.setflags(write=False)
-        for estimator in self.ESTIMATORS:
-            for batch in (writable, view):
-                with pytest.raises(DomainError, match="read-only"):
-                    estimator(diag_op(0.5), batch)
-        writable[2] = np.nan
-        for estimator in self.ESTIMATORS:
-            with pytest.raises(DomainError):
-                estimator(diag_op(0.5), writable)
+        assert not states(drawn).flags.writeable
+        for b in (batch, drawn):
+            assert not [a for a in dir(b) if not a.startswith("_")
+                        and isinstance(getattr(b, a), np.ndarray)]
+
+    def test_batch_is_no_array(self):
+        """Arithmetic, slicing and ufuncs on a batch raise TypeError, where
+        an ndarray subclass made each result a batch."""
+        batch = bloch(13, 100)
+        with pytest.raises(TypeError):
+            batch * 2
+        with pytest.raises(TypeError):
+            batch[:, :5]
+        with pytest.raises(TypeError):
+            np.add(batch, 1.0)
 
 
 def block_jackknife(data, totals, fn, blocks=100):
@@ -793,7 +793,7 @@ class TestInPlaceArithmetic:
         ``_CHUNK`` states; above that, within ``assert_information_close``."""
         r, ops = self.cases(n)
         for op in ops:
-            info, fid, rev = allocating_estimates(op, r)
+            info, fid, rev = allocating_estimates(op, states(r))
             if n <= oracle._CHUNK:
                 assert estimate_information(op, r) == info
             else:
@@ -814,8 +814,8 @@ class TestInPlaceArithmetic:
         monkeypatch.setattr(oracle, "_CHUNK", 16)
         r, ops = self.cases(n)
         for op in ops:
-            got, (want, _, _) = estimate_information(op, r), allocating_estimates(op, r)
-            ybar = float(np.mean(outcome_q(op, r)))
+            got, (want, _, _) = estimate_information(op, r), allocating_estimates(op, states(r))
+            ybar = float(np.mean(outcome_q(op, states(r))))
             c = max(1.0, abs(math.log2(ybar) / want.value)) if want.value else 1.0
             self.assert_information_close(op, got, want, c)
 
