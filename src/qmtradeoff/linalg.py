@@ -86,9 +86,23 @@ class Su2Params(NamedTuple):
     delta: float
 
 
+def _array(m, dtype=complex, copy=False, error=FormatError,
+           expected="expected a 2x2 matrix") -> np.ndarray:
+    """``m`` as an array of ``dtype``, a copy where ``copy``; ``error``
+    "<expected>, got a ragged sequence" where m nests sequences of unequal
+    lengths, which NumPy refuses with a plain ValueError. Every other error
+    of NumPy's passes as it is."""
+    try:
+        return np.array(m, dtype) if copy else np.asarray(m, dtype)
+    except ValueError as exc:
+        if not str(exc).startswith("setting an array element with a sequence"):
+            raise
+    raise error(f"{expected}, got a ragged sequence")
+
+
 def _entries(m) -> list:
     """Row-major entries of a 2x2 matrix as Python complex; checks shape and finiteness."""
-    arr = np.asarray(m, dtype=complex)
+    arr = _array(m)
     if arr.shape != (2, 2):
         raise FormatError(f"expected a 2x2 matrix, got shape {arr.shape}")
     flat = arr.ravel().tolist()

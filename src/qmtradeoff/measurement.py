@@ -23,7 +23,7 @@ from .errors import (
     IncompleteSetError,
     InvalidStrengthError,
 )
-from .linalg import Svd2Result, _apply, _gram, matrix_from_json, matrix_to_json, svd2
+from .linalg import Svd2Result, _apply, _array, _gram, matrix_from_json, matrix_to_json, svd2
 
 #: Tolerance on || sum M† M - I || for complete sets.
 COMPLETENESS_TOL = 1e-10
@@ -105,7 +105,7 @@ class MeasurementOperator:
     __slots__ = ("_matrix", "_canonical")
 
     def __init__(self, matrix):
-        self._matrix = np.array(matrix, dtype=complex)
+        self._matrix = _array(matrix, copy=True)
         self._matrix.setflags(write=False)
         self._canonical = svd2(self._matrix)
         if self._canonical.kappa > 1.0 + OPERATOR_NORM_TOL:

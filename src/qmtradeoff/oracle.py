@@ -20,11 +20,11 @@ Conventions shared by both routes:
   the fidelity and the reversibility are each one pair of coefficient rows,
   ``coef``, and zbar / qbar of ``coef @ mean`` of x; the routes differ only
   in that mean: the sphere's exact ``_SPHERE_MEAN``, or the one that a
-  ``Batch`` builds of its states when it is made. An operator's rows
-  (``_q_coef``, ``_fidelity_coef``, ``_reversibility_coef``) are built
-  once, for the last operator seen, and are read-only, as all of its oracle
-  calls share them; an operator hashes by identity and cannot change.
-  ``verify`` hands one batch to every estimator at every lam, so one
+  ``Batch`` builds of its states when it is made. So each of these
+  estimates finishes one operator's table of rows, ``_rows``, and one mean.
+  The table is read-only and built once, for the last operator seen, as all
+  of its oracle calls share it; an operator hashes by identity and cannot
+  change. ``verify`` hands one batch to every estimator at every lam, so one
   unlucky batch fails a band of lam together (README, *Numerical notes*,
   gives the rate);
 * q log q is no polynomial, so the information estimates visit every state
@@ -57,7 +57,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateSampleError, DomainError
-from .linalg import _gram
+from .linalg import _array, _gram
 from .measurement import MeasurementOperator, _check_count
 from .reversal import _check_reversible
 
@@ -69,9 +69,12 @@ _CHUNK = 2**13
 #: Gauss-Legendre nodes of the information quadrature, per subinterval in u.
 NODES = 64
 
+#: What a batch's states must be; ``Batch`` and ``_own`` say what they got.
+_STATES = "need real Bloch vectors of shape (3, n >= 2)"
+
 #: Where each entry of x = (1, r, r_i r_j for i <= j) sits in (1, r)(1, r)ᵀ,
-#: as the row and the column indices that ``_monomials`` takes; the second
-#: row of ``_fidelity_coef`` writes out its ten products in the same order.
+#: as the row and the column indices that ``_monomials`` takes; the fidelity
+#: row of ``_rows`` writes out its ten products in the same order.
 _PAIRS = tuple(p.tolist() for p in np.triu_indices(4))
 
 
@@ -98,15 +101,16 @@ class Batch:
     """``(3, n)`` real Bloch vectors r, n >= 2, the one input of every Monte
     Carlo estimator, and their moments. ``Batch(r)`` copies r once, as
     floats, into a read-only array that no caller holds, and checks it as
-    ``_own`` does. Its states and its ``_moments`` of x = ``_monomials(r)``,
-    all that the fidelity and reversibility read, sit in private slots and
-    are built here, once, so nothing that a caller holds can change them. A
-    batch is no array: ``b * 2`` and ``b[:, :5]`` raise TypeError."""
+    ``_own`` does; rows of unequal lengths raise the same DomainError. Its
+    states and its ``_moments`` of x = ``_monomials(r)``, all that the
+    fidelity and reversibility read, sit in private slots and are built
+    here, once, so nothing that a caller holds can change them. A batch is
+    no array: ``b * 2`` and ``b[:, :5]`` raise TypeError."""
 
     __slots__ = ("_r", "_moments")
 
     def __init__(self, r) -> None:
-        _own(self, np.asarray(r), copy=True)
+        _own(self, _array(r, None, error=DomainError, expected=_STATES), copy=True)
 
 
 def _own(batch: Batch, r: np.ndarray, copy: bool) -> Batch:
@@ -116,7 +120,7 @@ def _own(batch: Batch, r: np.ndarray, copy: bool) -> Batch:
     row's sum of squares is finite (no NaN or infinite entry, none whose
     square overflows), by one dot per row; else DomainError, in that order."""
     if r.ndim != 2 or r.shape[0] != 3 or r.shape[1] < 2 or r.dtype.kind not in "iuf":
-        raise DomainError(f"need real Bloch vectors of shape (3, n >= 2), got {r.dtype} {r.shape}")
+        raise DomainError(f"{_STATES}, got {r.dtype} {r.shape}")
     r = r.astype(float, copy=copy)
     if not all(math.isfinite(row.dot(row)) for row in r):
         raise DomainError("Bloch vectors must be finite")
@@ -184,35 +188,29 @@ def _pauli(a) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _q_coef(op: MeasurementOperator) -> np.ndarray:
-    """Coefficients on x of q = <psi|M†M|psi> / kappa^2 = g0 + g . r, the Pauli
-    coefficients of linalg._gram's M†M = [[a, b], [conj(b), c]] over kappa^2.
-    Uses the raw matrix, so any right unitary factor shows up pointwise (its
-    effect must — and does — wash out of uniform averages). Read-only, and
-    built once per operator, as are ``_fidelity_coef`` and
-    ``_reversibility_coef``: the cache holds the last operator, keyed by
-    identity."""
+def _rows(op: MeasurementOperator) -> np.ndarray:
+    """The operator's coefficient rows on x, one read-only (4, 10) table that
+    all six oracles read, built once per operator: the cache holds the last
+    operator, keyed by identity. In order:
+
+    0. q of the canonical operator u D, core D = diag(1, lam);
+    1. the fidelity integrand ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c the
+       Pauli coefficients of u D with u the canonical left factor:
+       Re(c_i* c_j), twice over for i < j, in the order of ``_PAIRS``;
+    2. q = <psi|M†M|psi> / kappa^2 = g0 + g . r, the Pauli coefficients of
+       linalg._gram's M†M = [[a, b], [conj(b), c]] over kappa^2. It reads the
+       raw matrix, so any right unitary factor shows up pointwise (its effect
+       must — and does — wash out of uniform averages);
+    3. lam^2 x_0 (x_0 = 1).
+
+    The fidelity is the ratio of rows 1 and 0, the reversibility that of rows
+    3 and 2, and information reads row 2."""
     a, c, b = _gram(op.matrix)
     g0, (g1, g2, g3) = _pauli(((a, b), (b.conjugate(), c)))
-    k2 = op.kappa * op.kappa
-    coef = np.array([g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2] + [0.0] * 6)
-    return _read_only(coef)[0]
-
-
-def _amplitude_pauli(op: MeasurementOperator) -> tuple:
-    """Pauli coefficients of u D: canonical left factor u, core D = diag(1, lam)."""
+    k2, lam = op.kappa * op.kappa, op.lam
     (u00, u01), (u10, u11) = op.canonical.u.tolist()
-    return _pauli(((u00, u01 * op.lam), (u10, u11 * op.lam)))
-
-
-@functools.lru_cache(maxsize=1)
-def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
-    """Coefficients on x, as two read-only rows built once per operator, of q
-    of the canonical operator and of the fidelity integrand
-    ``|<psi| u D |psi>|^2 = |c . (1, r)|^2``, c from ``_amplitude_pauli``:
-    Re(c_i* c_j), twice over for i < j."""
-    c0, (c1, c2, c3) = _amplitude_pauli(op)
-    r0, r1, r2, r3, lam = c0.real, c1.real, c2.real, c3.real, op.lam
+    c0, (c1, c2, c3) = _pauli(((u00, u01 * lam), (u10, u11 * lam)))
+    r0, r1, r2, r3 = c0.real, c1.real, c2.real, c3.real
     i0, i1, i2, i3 = c0.imag, c1.imag, c2.imag, c3.imag
     return _read_only(np.array([
         [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
@@ -220,17 +218,9 @@ def _fidelity_coef(op: MeasurementOperator) -> np.ndarray:
          (r0 * r3 + i0 * i3) * 2.0, r1 * r1 + i1 * i1, (r1 * r2 + i1 * i2) * 2.0,
          (r1 * r3 + i1 * i3) * 2.0, r2 * r2 + i2 * i2, (r2 * r3 + i2 * i3) * 2.0,
          r3 * r3 + i3 * i3],
+        [g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2] + [0.0] * 6,
+        [lam * lam] + [0.0] * 9,
     ]))[0]
-
-
-@functools.lru_cache(maxsize=1)
-def _reversibility_coef(op: MeasurementOperator) -> np.ndarray:
-    """Coefficients on x, as two read-only rows built once per operator, of q
-    (``_q_coef``) and lam^2 x_0 (x_0 = 1), whose ratio of means is the
-    reversibility; IrreversibleError where lam = 0, raised at every call (an
-    exception is never cached)."""
-    _check_reversible(op.lam)
-    return _read_only(np.array([_q_coef(op), [op.lam * op.lam] + [0.0] * 9]))[0]
 
 
 def _information_rows(x: np.ndarray) -> np.ndarray:
@@ -308,7 +298,7 @@ def estimate_information(op: MeasurementOperator, batch: Batch) -> Estimate:
     the defining functional ``[avg(q log2 q) - qbar log2 qbar] / qbar``,
     which is invariant under rescaling of q.
     """
-    coef = _q_coef(op)
+    coef = _rows(op)[2]
 
     def rows(chunk):  # information's x, (q, q log2 q): the means' own rows
         x = np.empty((2, chunk.shape[1]))
@@ -326,13 +316,13 @@ def estimate_fidelity(op: MeasurementOperator, batch: Batch) -> Estimate:
     ``quadrature_fidelity``, from the moments that the batch built when it
     was made. Uses the canonical left factor, matching the single-outcome
     relabeling convention."""
-    return _ratio_estimate(_fidelity_coef(op), batch._moments)
+    return _ratio_estimate(_rows(op)[:2], batch._moments)
 
 
 def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     """Monte Carlo estimate of the mean reversal success probability,
-    ``lam^2 / qbar``, over a :class:`Batch` of states: zbar / qbar of
-    ``_reversibility_coef``, as in ``quadrature_reversibility``, from the
+    ``lam^2 / qbar``, over a :class:`Batch` of states: zbar / qbar of rows
+    2 and 3 of ``_rows``, as in ``quadrature_reversibility``, from the
     moments that the batch built when it was made.
 
     Raises
@@ -340,7 +330,8 @@ def estimate_reversibility(op: MeasurementOperator, batch: Batch) -> Estimate:
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to estimate.
     """
-    return _ratio_estimate(_reversibility_coef(op), batch._moments)
+    _check_reversible(op.lam)
+    return _ratio_estimate(_rows(op)[2:], batch._moments)
 
 
 @functools.lru_cache
@@ -370,8 +361,8 @@ def _sphere_ratio(coef: np.ndarray) -> Estimate:
 def quadrature_information(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the information-gain average.
 
-    Along g, as the prior is rotation invariant: q = g0 + |g| u from
-    ``_q_coef``. q log2 q is not analytic at the zero of q, which lies about
+    Along g, as the prior is rotation invariant: q = g0 + |g| u from row 2
+    of ``_rows``. q log2 q is not analytic at the zero of q, which lies about
     2 lam^2 beyond u = -1, so a single rule converges slowly at small lam.
     The ``NODES``-point rule is therefore applied on subintervals graded
     toward u = -1, K = ceil(log_8(1 / lam^2)) of them below u = -3/4, so
@@ -381,7 +372,7 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
     """
     depth = math.ceil(math.log(1.0 / max(op.lam * op.lam, 2.0**-53), 8))
     u, w = _gauss_legendre(depth)
-    g = _q_coef(op).tolist()
+    g = _rows(op)[2].tolist()
     x = np.empty((2, u.size))
     np.multiply(u, math.hypot(g[1], g[2], g[3]), out=x[0])
     x[0] += g[0]
@@ -395,12 +386,12 @@ def quadrature_fidelity(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean-fidelity average, ``zbar / qbar``
     with each ``coef @ mean`` of x as in ``estimate_fidelity``, over the six
     points of ``_SPHERE_MEAN``: exact, since x has degree 2 in r."""
-    return _sphere_ratio(_fidelity_coef(op))
+    return _sphere_ratio(_rows(op)[:2])
 
 
 def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     """Deterministic evaluation of the mean reversal success probability,
-    ``lam^2 / qbar``, zbar / qbar of ``_reversibility_coef`` over the six
+    ``lam^2 / qbar``, zbar / qbar of rows 2 and 3 of ``_rows`` over the six
     points of ``_SPHERE_MEAN``: exact, since both rows are affine in r.
 
     Raises
@@ -408,4 +399,5 @@ def quadrature_reversibility(op: MeasurementOperator) -> Estimate:
     IrreversibleError
         If the strength ratio vanishes: there is no reversal to evaluate.
     """
-    return _sphere_ratio(_reversibility_coef(op))
+    _check_reversible(op.lam)
+    return _sphere_ratio(_rows(op)[2:])

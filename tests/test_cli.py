@@ -435,21 +435,21 @@ class TestVerify:
         assert all(r is draws[0] for r in seen)
 
     def test_rows_built_once_per_operator(self, capsys, monkeypatch):
-        """Each grid point's operator builds its coefficient rows once for
-        all six oracle calls: one Gram matrix (q's rows, read by both
-        information oracles and both reversibility oracles) and one
-        amplitude (the fidelity's rows, read by both fidelity oracles)."""
-        calls = {"_gram": 0, "_amplitude_pauli": 0}
-        for name in calls:
-            def counting(*args, name=name, real=getattr(oracle, name)):
-                calls[name] += 1
-                return real(*args)
+        """Each grid point's operator builds its table of coefficient rows
+        once for all six oracle calls, with one Gram matrix (the raw q row,
+        read by both information oracles and both reversibility oracles)."""
+        grams, real = [], oracle._gram
 
-            monkeypatch.setattr(oracle, name, counting)
+        def counting(*args):
+            grams.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_gram", counting)
+        builds = oracle._rows.cache_info().misses
         code, _, _ = run(capsys, "verify", "--lambda-min", "0", "--lambda-max", "1",
                          "--points", "5", "--samples", "200", "--seed", "1")
         assert code == 0
-        assert calls == {"_gram": 5, "_amplitude_pauli": 5}
+        assert (len(grams), oracle._rows.cache_info().misses - builds) == (5, 5)
 
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:

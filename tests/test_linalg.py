@@ -27,7 +27,7 @@ from qmtradeoff.linalg import (
     su2_params,
     svd2,
 )
-from qmtradeoff.measurement import MeasurementOperator
+from qmtradeoff.measurement import MeasurementOperator, MeasurementSet
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -524,10 +524,17 @@ class TestEntries:
             ([[1.0, 0.0]], "expected a 2x2 matrix, got shape (1, 2)"),
             (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
             (np.array([[1.0, 0.0], [complex(0.0, -np.inf), 1.0]]), "matrix entries must be finite"),
+            # Ragged nestings, which NumPy refuses with a plain ValueError.
+            ([[1, 2], [3]], "expected a 2x2 matrix, got a ragged sequence"),
+            ([[1, 0], [0]], "expected a 2x2 matrix, got a ragged sequence"),
+            ([[1, 2], [3, [4]]], "expected a 2x2 matrix, got a ragged sequence"),
         ],
     )
     def test_keep_input_errors(self, m, message):
-        for fn in (matrix_to_json, svd2, su2_params, MeasurementOperator):
+        def one_outcome_set(m):
+            return MeasurementSet(operators=(m,))
+
+        for fn in (matrix_to_json, svd2, su2_params, MeasurementOperator, one_outcome_set):
             with pytest.raises(FormatError) as exc:
                 fn(m)
             assert str(exc.value) == message, fn.__name__

@@ -19,7 +19,7 @@ from qmtradeoff.measurement import (
     outcome_probability,
     two_outcome_family,
 )
-from qmtradeoff.oracle import _q_coef
+from qmtradeoff.oracle import _rows
 
 from state_reference import from_amplitudes_reference
 
@@ -27,7 +27,7 @@ from state_reference import from_amplitudes_reference
 def q_value(lam, theta):
     """The package's one q, the oracle's, of diag(1, lam) at the state's
     polar angle: its coefficients on x at r = (sin theta, 0, cos theta)."""
-    g = _q_coef(MeasurementOperator(np.diag([1.0, lam])))
+    g = _rows(MeasurementOperator(np.diag([1.0, lam])))[2]
     return float(g[:4] @ [1.0, math.sin(theta), 0.0, math.cos(theta)])
 
 

@@ -26,13 +26,10 @@ from qmtradeoff.measurement import MeasurementOperator, PureState
 from qmtradeoff.oracle import (
     NODES,
     _SPHERE_MEAN,
-    _amplitude_pauli,
-    _fidelity_coef,
     _gauss_legendre,
     _monomials,
     _pauli,
-    _q_coef,
-    _reversibility_coef,
+    _rows,
     estimate_fidelity,
     estimate_information,
     estimate_reversibility,
@@ -59,13 +56,29 @@ def states(batch):
 
 def outcome_q(op, r):
     """q = g0 + g . r at each column of r, as estimate_information forms it."""
-    coef = _q_coef(op)
+    coef = _rows(op)[2]
     return coef[1:4] @ r + coef[0]
+
+
+def amplitude_pauli(op):
+    """Pauli coefficients (b0, b) of u D, the canonical left factor u times
+    the core D = diag(1, lam), from the NumPy product u * [1, lam]."""
+    return _pauli((op.canonical.u * [1.0, op.lam]).tolist())
+
+
+def fidelity_row(b0, b):
+    """The fidelity integrand |b0 + b . r|^2 as its row on x, entry by entry:
+    Re(c_i* c_j) of c = (b0, b), with the weight 2 - (i == j)."""
+    amp, row = (b0,) + tuple(b), np.zeros(10)
+    for k, (i, j) in enumerate((i, j) for i in range(4) for j in range(i, 4)):
+        row[k] = amp[i].real * amp[j].real + amp[i].imag * amp[j].imag
+        row[k] *= 2.0 - (i == j)
+    return row
 
 
 def fidelity_weight(op, r):
     """Per-sample |<psi| u D |psi>|^2 = re² + im² of b0 + b . r."""
-    b0, b = _amplitude_pauli(op)
+    b0, b = amplitude_pauli(op)
     re, im = np.array([[x.real for x in b], [x.imag for x in b]]) @ r + [[b0.real], [b0.imag]]
     return re * re + im * im
 
@@ -199,8 +212,8 @@ class TestPauliIntegrands:
                 q = np.vdot(a, op.matrix.conj().T @ op.matrix @ a).real / op.kappa**2
                 fid = abs(np.vdot(a, core @ a)) ** 2
                 x = _monomials(r)
-                worst_q = max(worst_q, abs((_q_coef(op) @ x)[0] - q))
-                worst_f = max(worst_f, abs((_fidelity_coef(op)[1] @ x)[0] - fid))
+                worst_q = max(worst_q, abs((_rows(op)[2] @ x)[0] - q))
+                worst_f = max(worst_f, abs((_rows(op)[1] @ x)[0] - fid))
         assert worst_q <= 2e-15
         assert worst_f <= 2e-15
 
@@ -217,38 +230,36 @@ class TestPauliIntegrands:
             g = 0.5 * np.trace(gram @ sigma, axis1=1, axis2=2).real
             q = outcome_q(op, r)
             assert np.max(np.abs(q - (g[0] + g[1:] @ r))) <= 1e-15 * np.max(q)
-            assert np.max(np.abs(q - _q_coef(op) @ _monomials(r))) <= 1e-15 * np.max(q)
+            assert np.max(np.abs(q - _rows(op)[2] @ _monomials(r))) <= 1e-15 * np.max(q)
 
     @staticmethod
     def per_entry_rows(op):
-        """q's row and the fidelity's two rows, entry by entry from the
-        NumPy product u * [1, lam] and the weight 2 - (i == j)."""
+        """The operator's whole table, entry by entry: the canonical q, the
+        fidelity integrand from the NumPy product u * [1, lam], the raw q
+        from linalg._gram over kappa^2, and lam^2 x_0."""
         a, c, b = _gram(op.matrix)
         g0, g = _pauli(((a, b), (b.conjugate(), c)))
-        k2 = op.kappa * op.kappa
-        q = np.zeros(10)
+        k2, lam = op.kappa * op.kappa, op.lam
+        table = np.zeros((4, 10))
+        table[0, 0], table[0, 3] = 0.5 * (1.0 + lam * lam), 0.5 * (1.0 - lam) * (1.0 + lam)
+        table[1] = fidelity_row(*amplitude_pauli(op))
         for k, gk in enumerate((g0,) + g):
-            q[k] = gk.real / k2
-        b0, b = _pauli((op.canonical.u * [1.0, op.lam]).tolist())
-        amp, lam = (b0,) + b, op.lam
-        fid = np.zeros((2, 10))
-        fid[0, 0], fid[0, 3] = 0.5 * (1.0 + lam * lam), 0.5 * (1.0 - lam) * (1.0 + lam)
-        for k, (i, j) in enumerate((i, j) for i in range(4) for j in range(i, 4)):
-            fid[1, k] = amp[i].real * amp[j].real + amp[i].imag * amp[j].imag
-            fid[1, k] *= 2.0 - (i == j)
-        return q, fid
+            table[2, k] = gk.real / k2
+        table[3, 0] = lam * lam
+        return table
 
     def test_coefficient_rows_match_per_entry_form(self):
-        """Bit for bit, on random operators with non-trivial right factors,
-        verify's diag(1, lam) at both ends and a Hadamard-rotated operator."""
+        """Bit for bit, all four rows, the raw q and the lam^2 row among
+        them, on random operators with non-trivial right factors, verify's
+        diag(1, lam) at both ends and a Hadamard-rotated operator."""
         ops = list(self.operators(np.random.default_rng(44), 5000))
         ops += [diag_op(lam) for lam in (0.0, 1e-300, 0.5, 1.0)]
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         ops.append(MeasurementOperator(h @ np.diag([1.0, 0.5])))
         for op in ops:
-            q, fid = self.per_entry_rows(op)
-            assert _q_coef(op).tobytes() == q.tobytes(), op
-            assert _fidelity_coef(op).tobytes() == fid.tobytes(), op
+            table = _rows(op)
+            assert table.shape == (4, 10) and table.dtype == np.float64, op
+            assert table.tobytes() == self.per_entry_rows(op).tobytes(), op
 
 
 
@@ -566,7 +577,7 @@ class TestBatchMoments:
         for op in (diag_op(lam), MeasurementOperator(rotation @ np.diag([1.0, lam]))):
             lam2 = mpf(op.lam) ** 2
             q = [((1 + lam2) + u * (1 - lam2)) / 2 for u in r[2]]
-            b0, b = _amplitude_pauli(op)
+            b0, b = amplitude_pauli(op)
             c = [complex(x) for x in (b0,) + b]
             re = [c[0].real + sum(ck.real * x for ck, x in zip(c[1:], xs)) for xs in zip(*r)]
             im = [c[0].imag + sum(ck.imag * x for ck, x in zip(c[1:], xs)) for xs in zip(*r)]
@@ -650,13 +661,19 @@ class TestBatchInput:
 
     ESTIMATORS = (estimate_information, estimate_fidelity, estimate_reversibility)
 
-    @pytest.mark.parametrize("shape", [(4, 57), (2, 57), (3, 57, 1), (3, 1), (3,), (3, 57)])
+    @pytest.mark.parametrize(
+        "shape", [(4, 57), (2, 57), (3, 57, 1), (3, 1), (3,), (3, 57), "ragged"]
+    )
     def test_malformed_batches_rejected(self, shape):
         """Among them a (4, n) batch, whose first three rows no estimator may
-        read alone, and complex states of the right shape, which no cast may
-        make real, with a warning or by dropping their imaginary part:
+        read alone, complex states of the right shape, which no cast may
+        make real, with a warning or by dropping their imaginary part, and
+        rows of unequal lengths, which NumPy refuses with a plain ValueError:
         DomainError from Batch itself, before any moment is formed."""
-        r = np.random.default_rng(1).uniform(-0.5, 0.5, shape)
+        if shape == "ragged":
+            r = [[0.1, 0.2], [0.3], [0.4, 0.5]]
+        else:
+            r = np.random.default_rng(1).uniform(-0.5, 0.5, shape)
         if shape == (3, 57):  # the right shape, with complex states
             r = r + 1j * r
         with warnings.catch_warnings():
@@ -994,7 +1011,7 @@ class TestMomentForm:
     @staticmethod
     def flipped_trace(op):
         """b0 from tr(u D sigma_z) instead of tr(u D): a sign slip in the trace."""
-        b0, (b1, b2, b3) = _amplitude_pauli(op)
+        b0, (b1, b2, b3) = amplitude_pauli(op)
         return b3, (b1, b2, b0)
 
     @staticmethod
@@ -1009,6 +1026,19 @@ class TestMomentForm:
         (u00, u01), (u10, u11) = op.canonical.u.tolist()
         return oracle._pauli(((u00, u01 * op.lam**2), (u10, u11 * op.lam**2)))
 
+    @staticmethod
+    def patch_integrand(monkeypatch, wrong):
+        """Every operator's table, with its fidelity row (row 1) written out
+        from the wrong amplitude coefficients ``wrong(op)``."""
+        real = oracle._rows
+
+        def rows(op):
+            table = np.array(real(op))
+            table[1] = fidelity_row(*wrong(op))
+            return table
+
+        monkeypatch.setattr(oracle, "_rows", rows)
+
     @pytest.mark.parametrize("wrong", ["flipped_trace", "right_factor", "squared_core"])
     def test_wrong_integrand_fails_the_tolerance(self, monkeypatch, wrong):
         """Negative control: with a wrong integrand the fidelity quadrature
@@ -1018,10 +1048,8 @@ class TestMomentForm:
         in SU(2) up to a phase, cannot be seen by any exact average.)"""
         reference = analytics.fidelity_of_operator(self.OP)
         assert abs(quadrature_fidelity(self.OP).value - reference) < 1e-12
-        monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
-        # Built after the patch, as each operator's rows are built once.
-        op = MeasurementOperator(self.OP.matrix)
-        assert abs(quadrature_fidelity(op).value - reference) > 1e-8
+        self.patch_integrand(monkeypatch, getattr(self, wrong))
+        assert abs(quadrature_fidelity(self.OP).value - reference) > 1e-8
 
     @pytest.mark.parametrize("wrong", ["flipped_trace", "right_factor", "squared_core"])
     def test_wrong_integrand_fails_the_monte_carlo_gate(self, monkeypatch, wrong):
@@ -1033,10 +1061,8 @@ class TestMomentForm:
         reference = analytics.fidelity_of_operator(self.OP)
         est = estimate_fidelity(self.OP, r)
         assert abs(est.value - reference) <= 4.0 * est.std_error
-        monkeypatch.setattr(oracle, "_amplitude_pauli", getattr(self, wrong))
-        # Built after the patch, as each operator's rows are built once.
-        op = MeasurementOperator(self.OP.matrix)
-        est = estimate_fidelity(op, r)
+        self.patch_integrand(monkeypatch, getattr(self, wrong))
+        est = estimate_fidelity(self.OP, r)
         assert abs(est.value - reference) > 4.0 * est.std_error
 
 
@@ -1059,13 +1085,13 @@ class TestNodeCache:
         half = 0.5 * np.diff(edges)[:, None]
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         gu, gw = (mid + half * u).ravel(), (half * w).ravel()
-        g0, g1, g2, g3 = _q_coef(self.OP)[:4].tolist()
+        g0, g1, g2, g3 = _rows(self.OP)[2, :4].tolist()
         q = g0 + math.hypot(g1, g2, g3) * gu
         qbar = 0.5 * float(np.sum(gw * q))
         qlog = 0.5 * float(np.sum(gw * (q * np.log2(q))))
         mean = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 1.0 / 3.0])
-        fbar, zbar = (_fidelity_coef(self.OP) @ mean).tolist()
-        mbar = float(_q_coef(self.OP) @ mean)
+        fbar, zbar = (_rows(self.OP)[:2] @ mean).tolist()
+        mbar = float(_rows(self.OP)[2] @ mean)
         return qlog / qbar - math.log2(qbar), zbar / fbar, lam * lam / mbar
 
     def test_quadratures_match_fresh_rule(self):
@@ -1139,32 +1165,49 @@ print(json.dumps(calls))
 
 
 class TestRowCache:
-    """Each operator's coefficient rows are built once, read-only, and
-    shared by all of its oracle calls."""
+    """Each operator's coefficient rows are one table, built once, read-only,
+    and shared by all six of its oracle calls."""
 
-    BUILDERS = (_q_coef, _fidelity_coef, _reversibility_coef)
+    QUADRATURES = (quadrature_information, quadrature_fidelity, quadrature_reversibility)
+    ESTIMATORS = (estimate_information, estimate_fidelity, estimate_reversibility)
 
     def test_rows_built_once_and_read_only(self):
-        op = MeasurementOperator(TestMomentForm.OP.matrix)
-        for build in self.BUILDERS:
-            rows = build(op)
+        """Two rounds of all six oracles build one table; it and every slice
+        of it that an oracle reads are read-only."""
+        op, batch = MeasurementOperator(TestMomentForm.OP.matrix), bloch(3, 200)
+        builds = _rows.cache_info().misses
+        for _ in range(2):
+            for quadrature in self.QUADRATURES:
+                quadrature(op)
+            for estimator in self.ESTIMATORS:
+                estimator(op, batch)
+        assert _rows.cache_info().misses - builds == 1
+        table = _rows(op)
+        assert _rows(op) is table and table.shape == (4, 10)
+        for rows in (table, table[:2], table[2:], table[2]):
             assert not rows.flags.writeable
-            assert build(op) is rows
             with pytest.raises(ValueError):
                 rows[0] = 0.0
 
     def test_fresh_operator_gets_the_same_rows(self):
         """The rows depend on the matrix alone: a second operator built from
-        the same matrix gets rows of its own, bit for bit the first's."""
+        the same matrix gets a table of its own, bit for bit the first's."""
         op = TestMomentForm.OP
-        for build in self.BUILDERS:
-            rows, fresh = build(op), build(MeasurementOperator(op.matrix))
-            assert fresh is not rows
-            assert fresh.tobytes() == rows.tobytes()
+        table, fresh = _rows(op), _rows(MeasurementOperator(op.matrix))
+        assert fresh is not table
+        assert fresh.tobytes() == table.tobytes()
 
     def test_irreversible_raises_at_every_call(self):
-        """An exception is never cached: lam = 0 raises at every call."""
-        op = diag_op(0.0)
+        """At lam = 0 both reversibility oracles raise IrreversibleError at
+        every call, as no exception is cached, while the information and
+        fidelity oracles still run on the same table."""
+        op, batch = diag_op(0.0), bloch(4, 200)
         for _ in range(2):
             with pytest.raises(IrreversibleError):
-                _reversibility_coef(op)
+                quadrature_reversibility(op)
+            with pytest.raises(IrreversibleError):
+                estimate_reversibility(op, batch)
+            for quadrature in self.QUADRATURES[:2]:
+                assert math.isfinite(quadrature(op).value)
+            for estimator in self.ESTIMATORS[:2]:
+                assert math.isfinite(estimator(op, batch).value)
