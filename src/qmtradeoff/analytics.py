@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, IncompleteSetError
-from .linalg import su2_params
 from .measurement import MeasurementOperator, MeasurementSet, _finite
 
 LN2 = math.log(2.0)
@@ -132,26 +131,39 @@ def fidelity_closed(lam: float, beta: float, gamma: float) -> float:
 
     Bounded between 1/3 (reached whenever cos(gamma) = 0, e.g. a spin-flip
     unitary factor) and :func:`optimal_fidelity` (reached at beta = gamma = 0).
-    The angles ``alpha`` and ``delta`` drop out of the average.
+    The angles ``alpha`` and ``delta`` drop out of the average; only
+    ``cos(2 beta)`` and ``cos(gamma)`` enter, which
+    :func:`fidelity_of_operator` reads off the unitary with no trig.
     """
     lam = _check_lam(lam)
     if not (_finite(beta, gamma) and math.isfinite(2.0 * float(beta))):
         raise DomainError("angles and 2 beta must be finite")
-    cg = math.cos(gamma)
-    bracket = 1.0 + (2.0 * lam / (1.0 + lam * lam)) * math.cos(2.0 * beta)
+    return _fidelity(lam, math.cos(2.0 * beta), math.cos(gamma))
+
+
+def _fidelity(lam: float, cb: float, cg: float) -> float:
+    # fidelity_closed at a checked lam, cb = cos(2 beta) and cg = cos(gamma).
+    bracket = 1.0 + (2.0 * lam / (1.0 + lam * lam)) * cb
     return (1.0 + bracket * cg * cg) / 3.0
 
 
 def fidelity_of_operator(op: MeasurementOperator) -> float:
     """Mean fidelity of a single outcome, by the canonical-form convention.
 
-    Evaluates :func:`fidelity_closed` with the angles of the canonical left
-    unitary ``u``. By this convention the value is unchanged when the
-    operator is multiplied by a unitary on the right (the right factor can
-    always be relabeled away against a uniform prior).
+    :func:`fidelity_closed` at the angles of the canonical left unitary
+    ``u``, read off its diagonal with no trig: for ``u`` unitary,
+    ``cos^2(gamma) = (|u00|^2 + |u11|^2) / 2`` and
+    ``cos(2 beta) = Re(u00 conj(u11)) / cos^2(gamma)``, taken as 0 where
+    cos(gamma) = 0 (there the fidelity is 1/3 whatever beta is). By this
+    convention the value is unchanged when the operator is multiplied by a
+    unitary on the right (the right factor can always be relabeled away
+    against a uniform prior).
     """
-    ang = su2_params(op.canonical.u)
-    return fidelity_closed(op.lam, ang.beta, ang.gamma)
+    (u00, _), (_, u11) = op.canonical.u.tolist()
+    c2 = 0.5 * (u00.real * u00.real + u00.imag * u00.imag
+                + u11.real * u11.real + u11.imag * u11.imag)
+    cb = (u00.real * u11.real + u00.imag * u11.imag) / c2 if c2 else 0.0
+    return _fidelity(op.lam, cb, math.sqrt(c2))
 
 
 def reversibility(lam: float) -> float:

@@ -88,16 +88,22 @@ class Su2Params(NamedTuple):
 
 def _array(m, dtype=complex, copy=False, error=FormatError,
            expected="expected a 2x2 matrix") -> np.ndarray:
-    """``m`` as an array of ``dtype``, a copy where ``copy``; ``error``
-    "<expected>, got a ragged sequence" where m nests sequences of unequal
-    lengths, which NumPy refuses with a plain ValueError. Every other error
-    of NumPy's passes as it is."""
+    """``m`` as an array of ``dtype``, a copy where ``copy``; as NumPy reads
+    it where dtype is None. ``error`` "<expected>, got a ragged sequence"
+    where m nests sequences of unequal lengths, which NumPy refuses with a
+    plain ValueError, and "<expected>, got a non-numeric entry" where an
+    entry is a string or bytes (which NumPy would parse as a number) or
+    does not cast to ``dtype``. Every other error of NumPy's passes as it is."""
     try:
-        return np.array(m, dtype) if copy else np.asarray(m, dtype)
-    except ValueError as exc:
-        if not str(exc).startswith("setting an array element with a sequence"):
-            raise
-    raise error(f"{expected}, got a ragged sequence")
+        a = np.asarray(m)
+        if dtype is None:
+            return a
+        if a.dtype.kind not in "SU":
+            return a.astype(dtype, copy=copy)
+    except (TypeError, ValueError) as exc:
+        if str(exc).startswith("setting an array element with a sequence"):
+            raise error(f"{expected}, got a ragged sequence") from None
+    raise error(f"{expected}, got a non-numeric entry")
 
 
 def _entries(m) -> list:

@@ -156,9 +156,12 @@ def _monomials(r: np.ndarray) -> np.ndarray:
 def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """Mean, covariance and leave-one-block-out means (a column per jackknife
     block) of x = ``rows(r[:, lo:hi])``, and n, over the chunks lo to hi of
-    ``_jackknife_blocks``. Per chunk, one ``reduceat`` for the block sums and
-    one ``dot`` for the cross products about the first chunk's mean, moved to
-    the batch mean at the end (Chan, Golub & LeVeque). r is a batch's checked
+    ``_jackknife_blocks``. Per chunk, one ``reduceat`` for the block sums,
+    each row of x centred in place by its own entry of the first chunk's
+    mean, and one ``dot`` for the cross products about that mean, moved to
+    the batch mean at the end (Chan, Golub & LeVeque). The covariance is
+    scaled in place, and the leave-one-out means are formed in the buffer of
+    the block sums: no temporary of x's size beyond x. r is a batch's checked
     states, so ``rows`` never sees a malformed or non-finite state."""
     n = r.shape[1]
     chunks, kept = _jackknife_blocks(n, _CHUNK)
@@ -169,7 +172,8 @@ def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
             total, sums = np.add.reduce(x, axis=1), np.empty((len(x), kept.size))
             mean = total / hi
         np.add.reduceat(x, starts, axis=1, out=sums[:, cols])
-        x -= mean[:, None]
+        for row, m in zip(x, mean.tolist()):
+            row -= m
         m2 = np.dot(x, x.T) if lo == 0 else m2 + np.dot(x, x.T)
         if len(chunks) > 1:
             dev += np.add.reduce(x, axis=1)
@@ -177,7 +181,10 @@ def _moments(r: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]) -> tuple:
         m2 -= dev[:, None] * (dev / n)
         mean = mean + dev / n
         total = mean * n
-    return mean, m2 * (1.0 / (n - 1)), (total[:, None] - sums) / kept, n
+    m2 *= 1.0 / (n - 1)
+    np.subtract(total[:, None], sums, out=sums)
+    sums /= kept
+    return mean, m2, sums, n
 
 
 def _pauli(a) -> tuple:
@@ -212,15 +219,15 @@ def _rows(op: MeasurementOperator) -> np.ndarray:
     c0, (c1, c2, c3) = _pauli(((u00, u01 * lam), (u10, u11 * lam)))
     r0, r1, r2, r3 = c0.real, c1.real, c2.real, c3.real
     i0, i1, i2, i3 = c0.imag, c1.imag, c2.imag, c3.imag
-    return _read_only(np.array([
-        [0.5 * (1.0 + lam * lam), 0.0, 0.0, 0.5 * (1.0 - lam) * (1.0 + lam)] + [0.0] * 6,
-        [r0 * r0 + i0 * i0, (r0 * r1 + i0 * i1) * 2.0, (r0 * r2 + i0 * i2) * 2.0,
-         (r0 * r3 + i0 * i3) * 2.0, r1 * r1 + i1 * i1, (r1 * r2 + i1 * i2) * 2.0,
-         (r1 * r3 + i1 * i3) * 2.0, r2 * r2 + i2 * i2, (r2 * r3 + i2 * i3) * 2.0,
-         r3 * r3 + i3 * i3],
-        [g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2] + [0.0] * 6,
-        [lam * lam] + [0.0] * 9,
-    ]))[0]
+    t = np.zeros((4, 10))
+    t[0, 0], t[0, 3] = 0.5 * (1.0 + lam * lam), 0.5 * (1.0 - lam) * (1.0 + lam)
+    t[1] = (r0 * r0 + i0 * i0, (r0 * r1 + i0 * i1) * 2.0, (r0 * r2 + i0 * i2) * 2.0,
+            (r0 * r3 + i0 * i3) * 2.0, r1 * r1 + i1 * i1, (r1 * r2 + i1 * i2) * 2.0,
+            (r1 * r3 + i1 * i3) * 2.0, r2 * r2 + i2 * i2, (r2 * r3 + i2 * i3) * 2.0,
+            r3 * r3 + i3 * i3)
+    t[2, :4] = g0.real / k2, g1.real / k2, g2.real / k2, g3.real / k2
+    t[3, 0] = lam * lam
+    return _read_only(t)[0]
 
 
 def _information_rows(x: np.ndarray) -> np.ndarray:
@@ -270,23 +277,27 @@ def _ratio_estimate(coef: Optional[np.ndarray], moments: tuple) -> Estimate:
     delta-method standard error projects the gradient
     (-zbar / qbar^2 [- 1 / (qbar ln 2)], 1 / qbar) onto x, d = ``grad @ coef``,
     before the covariance: ``sqrt(d . cov . d / n)``. The jackknife one takes
-    the same ratio of the leave-one-block-out means, the columns of ``loo``."""
+    the same ratio of the leave-one-block-out means, the columns of ``loo``,
+    and its sum of squares as one ``dot`` where coef is given; information
+    keeps np.cov's arithmetic, a multiply and a pairwise sum."""
     mean, cov, loo, n = moments
     if coef is not None:  # .dot, not @: the same BLAS call without matmul's overhead
         mean, loo = coef.dot(mean), coef.dot(loo)
-    (y, z), (ys, zs) = mean.tolist(), loo
+    y, z = mean.tolist()
     if y <= 0.0:
         raise DegenerateSampleError("sample average of q is not positive")
-    grad, value, estimates = [-z / y**2, 1.0 / y], z / y, zs / ys
-    if coef is None:  # information's own rows, (q, q log2 q)
-        grad[0] -= 1.0 / (y * math.log(2.0))
-        value, estimates = value - np.log2(y), estimates - np.log2(ys)
-    d = np.array(grad) if coef is None else np.dot(grad, coef)
+    value, estimates = z / y, loo[1] / loo[0]
+    if coef is None:  # information's own rows, (q, q log2 q), np.cov's arithmetic
+        d = np.array([-z / y**2 - 1.0 / (y * math.log(2.0)), 1.0 / y])
+        value, estimates = float(value - np.log2(y)), estimates - np.log2(loo[0])
+    else:
+        d = np.dot((-z / y**2, 1.0 / y), coef)
     blocks = estimates.size
     estimates -= np.add.reduce(estimates) / blocks
-    jackknife = math.sqrt((blocks - 1) / blocks * float(np.add.reduce(estimates * estimates)))
-    std_error = math.sqrt(max(float(d.dot(cov).dot(d)) / n, 0.0))
-    return Estimate(float(value), std_error, n, "monte-carlo", jackknife)
+    ss = estimates.dot(estimates) if coef is not None else np.add.reduce(estimates * estimates)
+    jackknife = math.sqrt((blocks - 1) / blocks * ss)
+    std_error = math.sqrt(max(d.dot(cov).dot(d) / n, 0.0))
+    return Estimate(value, std_error, n, "monte-carlo", jackknife)
 
 
 def estimate_information(op: MeasurementOperator, batch: Batch) -> Estimate:
@@ -369,6 +380,7 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
     that the innermost one is no wider than that distance (``samples``
     counts every node). K stops growing where 1 + lam^2 rounds to 1: from
     there on q is q at lam = 0, and q log2 q is taken as 0 where q vanishes.
+    The weighted sums of q and q log2 q are one ``dot`` with the weights.
     """
     depth = math.ceil(math.log(1.0 / max(op.lam * op.lam, 2.0**-53), 8))
     u, w = _gauss_legendre(depth)
@@ -377,7 +389,7 @@ def quadrature_information(op: MeasurementOperator) -> Estimate:
     np.multiply(u, math.hypot(g[1], g[2], g[3]), out=x[0])
     x[0] += g[0]
     # Twice the means, as the weights sum to 2; the factor 0.5 is exact.
-    qsum, qlogsum = np.add.reduce(np.multiply(_information_rows(x), w, out=x), axis=1).tolist()
+    qsum, qlogsum = _information_rows(x).dot(w).tolist()
     value = qlogsum / qsum - math.log2(0.5 * qsum)
     return Estimate(value=value, std_error=0.0, samples=u.size, method="quadrature")
 

@@ -8,12 +8,13 @@ independently of the closed forms under test.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmtradeoff import analytics
+from qmtradeoff import analytics, linalg
 from qmtradeoff.analytics import (
     EFF_FIDELITY_AT_ONE,
     INFO_AT_ZERO,
@@ -224,6 +225,71 @@ class TestFidelity:
             assert fidelity_of_operator(MeasurementOperator(base @ w)) == pytest.approx(
                 ref, abs=1e-10
             )
+
+    def test_operator_form_reads_no_angles(self, monkeypatch):
+        """fidelity_of_operator reads cos^2(gamma) and cos(2 beta) off u's
+        diagonal, so it runs with su2_params patched to raise."""
+
+        def refuse(u):
+            raise AssertionError("su2_params called")
+
+        monkeypatch.setattr(linalg, "su2_params", refuse)
+        u = su2_matrix(Su2Params(alpha=0.2, beta=-0.9, gamma=0.6, delta=1.4))
+        op = MeasurementOperator(0.7 * u @ np.diag([1.0, 0.4]))
+        assert 1.0 / 3.0 < fidelity_of_operator(op) < optimal_fidelity(op.lam)
+
+    def test_operator_form_matches_angle_form(self):
+        """On 20000 random operators, one in ten a spin flip X diag(1, lam) V
+        (cos(gamma) = 0), the diagonal form is within 4.5e-16 of
+        fidelity_closed at su2_params' angles of the canonical u: the sum of
+        the two routes' roundings, as every 40th operator shows against a
+        40-digit value of the same u, where the diagonal form is within
+        3e-16 and the nearer of the two."""
+        mp = mpmath.MPContext()
+        mp.dps = 40
+        rng = np.random.default_rng(35)
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        worst = worst_diag = worst_angles = 0.0
+        for k in range(20000):
+            if k % 10 == 0:
+                v = su2_matrix(Su2Params(*rng.uniform(-math.pi, math.pi, 4)))
+                m = flip @ np.diag([1.0, rng.uniform()]) @ v
+            else:
+                m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                m /= 1.01 * np.linalg.norm(m, 2)
+            op = MeasurementOperator(m)
+            ang = su2_params(op.canonical.u)
+            diag, angles = fidelity_of_operator(op), fidelity_closed(op.lam, ang.beta, ang.gamma)
+            worst = max(worst, abs(diag - angles))
+            if k % 40 == 1:
+                (u00, _), (_, u11) = (map(mp.mpc, row) for row in op.canonical.u.tolist())
+                c2 = (abs(u00) ** 2 + abs(u11) ** 2) / 2
+                lam = mp.mpf(op.lam)
+                exact = (1 + c2 + 2 * lam / (1 + lam * lam) * mp.re(u00 * mp.conj(u11))) / 3
+                worst_diag = max(worst_diag, abs(float(diag - exact)))
+                worst_angles = max(worst_angles, abs(float(angles - exact)))
+        assert worst <= 4.5e-16
+        assert worst_diag <= 3e-16 and worst_diag < worst_angles
+
+    def test_operator_form_bit_identical_on_diagonal_cores(self):
+        """On verify's operators diag(1, lam), u = I: every bit of
+        fidelity_closed(lam, 0, 0), at lam = k/1000."""
+        for k in range(1001):
+            lam = k / 1000
+            op = MeasurementOperator(np.diag([1.0, lam]))
+            assert fidelity_of_operator(op) == fidelity_closed(lam, 0.0, 0.0), lam
+
+    def test_operator_form_floor_at_spin_flip(self):
+        """Where cos(gamma) = 0, u's diagonal vanishes: exactly 1/3, whatever
+        lam and the phases of the off-diagonal entries."""
+        rng = np.random.default_rng(36)
+        for lam in (0.0, 0.3, 0.8, 1.0):
+            a, b = np.exp(1j * rng.uniform(-math.pi, math.pi, 2))
+            for m in (np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.diag([1.0, lam]),
+                      0.9 * np.array([[0.0, lam * a], [b, 0.0]])):
+                op = MeasurementOperator(m)
+                assert op.canonical.u[0, 0] == op.canonical.u[1, 1] == 0.0
+                assert fidelity_of_operator(op) == 1.0 / 3.0
 
     def test_monotone_optimal(self):
         grid = np.linspace(0.0, 1.0, 2001)

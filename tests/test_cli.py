@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmtradeoff import cli, errors, oracle
+from qmtradeoff import cli, errors, linalg, oracle
 from qmtradeoff.errors import DegenerateSampleError
 from qmtradeoff.linalg import matrix_to_json
 
@@ -172,7 +172,7 @@ class TestAnalyze:
             return su2_params(u)
 
         monkeypatch.setattr(cli, "su2_params", counting)
-        monkeypatch.setattr(cli.analytics, "su2_params", counting)
+        monkeypatch.setattr(linalg, "su2_params", counting)
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         for m in (np.diag([1.0, 0.5]), h @ np.diag([1.0, 0.5])):
             calls.clear()

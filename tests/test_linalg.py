@@ -528,6 +528,13 @@ class TestEntries:
             ([[1, 2], [3]], "expected a 2x2 matrix, got a ragged sequence"),
             ([[1, 0], [0]], "expected a 2x2 matrix, got a ragged sequence"),
             ([[1, 2], [3, [4]]], "expected a 2x2 matrix, got a ragged sequence"),
+            # Entries that are no numbers, NumPy's ValueError or TypeError on a cast,
+            ([["a", "b"], ["c", "d"]], "expected a 2x2 matrix, got a non-numeric entry"),
+            ([[{}, 0], [0, 1]], "expected a 2x2 matrix, got a non-numeric entry"),
+            ([[object(), 0], [0, 1]], "expected a 2x2 matrix, got a non-numeric entry"),
+            # and strings or bytes that NumPy would parse as numbers.
+            ([["1", "0"], ["0", "1"]], "expected a 2x2 matrix, got a non-numeric entry"),
+            ([[b"1", 0], [0, 1]], "expected a 2x2 matrix, got a non-numeric entry"),
         ],
     )
     def test_keep_input_errors(self, m, message):

@@ -479,6 +479,24 @@ class TestJackknife:
             est = estimator(op, bloch(n, n))
             assert abs(est.std_error - expected) <= rel * expected, estimator.__name__
 
+    @pytest.mark.parametrize("n", [2000, 2001, 57])
+    def test_projected_jackknife_matches_reduce_form(self, n):
+        """Fidelity and reversibility take the jackknife's sum of squares as
+        one dot: within 1e-15 relative of np.add.reduce(e * e) over the same
+        leave-one-block-out estimates e, those of the batch's moments."""
+        rng = np.random.default_rng(n)
+        batch = bloch(n, n)
+        loo = batch._moments[2]
+        for op in [self.OP, *TestPauliIntegrands.operators(rng, 12)]:
+            for estimator, coef in ((estimate_fidelity, _rows(op)[:2]),
+                                    (estimate_reversibility, _rows(op)[2:])):
+                ys, zs = coef.dot(loo)
+                e = zs / ys
+                e -= np.add.reduce(e) / e.size
+                want = math.sqrt((e.size - 1) / e.size * float(np.add.reduce(e * e)))
+                got = estimator(op, batch).std_error_jackknife
+                assert abs(got - want) <= 1e-15 * want, (estimator.__name__, got, want)
+
     @pytest.mark.parametrize("n", [2000, 57])
     def test_estimates_are_python_floats(self, n):
         for estimator in (estimate_information, estimate_fidelity, estimate_reversibility):
@@ -908,6 +926,21 @@ class TestQuadratureAgreement:
         for lam in grid:
             est = quadrature_information(diag_op(lam))
             assert abs(est.value - analytics.information_gain(lam)) < 1e-12, lam
+
+    def test_weighted_sums_match_multiply_and_reduce(self):
+        """Both weighted sums are one dot with the weights: the value is
+        within 1e-15 absolute of that from the multiply-then-reduce sums,
+        on lam = k/200."""
+        for k in range(201):
+            op = diag_op(k / 200)
+            depth = math.ceil(math.log(1.0 / max(op.lam * op.lam, 2.0**-53), 8))
+            u, w = oracle._gauss_legendre(depth)
+            g = _rows(op)[2].tolist()
+            x = np.empty((2, u.size))
+            x[0] = u * math.hypot(g[1], g[2], g[3]) + g[0]
+            qsum, qlogsum = np.add.reduce(oracle._information_rows(x) * w, axis=1).tolist()
+            want = qlogsum / qsum - math.log2(0.5 * qsum)
+            assert abs(quadrature_information(op).value - want) <= 1e-15, op.lam
 
     @pytest.mark.parametrize("lam", [0.0, 1e-300])
     def test_vanishing_q_raises_no_warning(self, lam):
